@@ -22,21 +22,9 @@ import sys
 import time
 from collections import Counter
 
+from coverideal.cli import CLIError, parse_builtin
 from coverideal.correspondence import verify_correspondence
-from coverideal.graphs import family, mycielski, path_graph
 from coverideal.ideals import cover_ideal, irreducible_decomposition, power
-
-
-def parse_builtin(spec: str):
-    kind, sep, num = spec.partition(":")
-    if not sep:
-        raise SystemExit(f"--builtin must be kind:n, got {spec!r}")
-    n = int(num)
-    if kind == "path":
-        return path_graph(n)
-    if kind == "mycielski-cycle":
-        return mycielski(family("cycle", n))
-    return family(kind, n)
 
 
 def main(argv=None) -> int:
@@ -49,8 +37,12 @@ def main(argv=None) -> int:
                         help="skip the per-component criticality verification")
     args = parser.parse_args(argv)
 
-    G = parse_builtin(args.builtin)
-    J = cover_ideal(G)
+    try:
+        G = parse_builtin(args.builtin)
+        J = cover_ideal(G)
+    except (CLIError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.builtin}: n={G.n} m={G.m}, cover ideal has "
           f"{len(J.gens)} minimal generators", flush=True)
 

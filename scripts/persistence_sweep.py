@@ -14,7 +14,7 @@ import sys
 import time
 
 from coverideal.corpus import connected_graphs
-from coverideal.correspondence import persistence_check
+from coverideal.correspondence import persistence_sweep
 from coverideal.graphs import family
 
 
@@ -30,27 +30,23 @@ def main(argv=None) -> int:
     graphs = 0
     checks = 0
     findings = []
+
+    def sweep(n, batch):
+        nonlocal checks
+        report = persistence_sweep(batch, args.s_max)
+        checks += report.checks_run
+        for f in report.findings:
+            findings.append((n, batch[f.graph_index].edges(), f.s, f.missing))
+        return report.graphs_checked
+
     for n in range(2, args.max_n + 1):
-        for G in connected_graphs(n):
-            if G.m == 0:
-                continue
-            graphs += 1
-            for s in range(1, args.s_max + 1):
-                holds, missing = persistence_check(G, s)
-                checks += 1
-                if not holds:
-                    findings.append((n, G.edges(), s, missing))
+        graphs += sweep(n, [G for G in connected_graphs(n) if G.m])
         print(f"n={n}: cumulative {graphs} graphs, {checks} checks, "
               f"{len(findings)} findings ({time.perf_counter() - t0:.1f}s)",
               flush=True)
 
     for n in (5, 7, 9):
-        G = family("cycle", n)
-        for s in range(1, args.s_max + 1):
-            holds, missing = persistence_check(G, s)
-            checks += 1
-            if not holds:
-                findings.append((n, G.edges(), s, missing))
+        sweep(n, [family("cycle", n)])
         print(f"cycle:{n}: checked s=1..{args.s_max}", flush=True)
 
     print(f"\ntotal: {graphs} connected graphs, {checks} persistence checks, "

@@ -5,14 +5,15 @@ human-readable or JSON reports.
 Vertices are 0-based everywhere; polynomial variables print as x0..x{n-1}.
 Exit codes: 0 = completed (and, for verify/conjecture, the check passed or
 a witness was found); 1 = completed but the check failed or the search was
-exhausted; 2 = usage or input error.
+exhausted; 2 = usage or input error; 3 = internal error (an unexpected
+exception, reported on stderr without a traceback), so a crash never reads
+as a finding.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -33,7 +34,7 @@ from .correspondence import (
 from .graphs import Graph, build_graph, expand, family, mycielski, path_graph
 from .ideals import associated_primes, cover_ideal, irreducible_decomposition, power
 
-__all__ = ["main", "parse_edge_list", "parse_graph6"]
+__all__ = ["main", "parse_builtin", "parse_edge_list", "parse_graph6"]
 
 _BUILTIN_KINDS = ("cycle", "complete", "antihole", "path", "mycielski-cycle")
 
@@ -126,7 +127,8 @@ def parse_graph6(text: str) -> Graph:
     return build_graph(n, edges)
 
 
-def _builtin_graph(spec: str) -> Graph:
+def parse_builtin(spec: str) -> Graph:
+    """Build a builtin family member from "kind:n", e.g. "mycielski-cycle:9"."""
     kind, sep, num = spec.partition(":")
     if not sep or kind not in _BUILTIN_KINDS:
         raise CLIError(
@@ -149,7 +151,7 @@ def _builtin_graph(spec: str) -> Graph:
 def _load_graph(args) -> tuple[Graph, str]:
     """Build the graph from whichever input flag was given; echo its source."""
     if args.builtin is not None:
-        return _builtin_graph(args.builtin), f"builtin:{args.builtin}"
+        return parse_builtin(args.builtin), f"builtin:{args.builtin}"
     if args.edge_list is not None:
         if args.edge_list == "-":
             text = sys.stdin.read()
@@ -236,6 +238,8 @@ def _cmd_invariants(args):
     folds = _int_list(args.bfold, "--bfold") if args.bfold else []
     if any(b < 1 for b in folds):
         raise CLIError("--bfold entries must be >= 1")
+    if G.n == 0:
+        raise CLIError("invariants need a graph with at least one vertex")
     inputs = {"graph": source, "bfold": folds}
     chi, _ = chromatic_number(G)
     critical, _, failing = is_critical(G)
@@ -433,19 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_threads_env() -> None:
-    """Validate CE_THREADS; the engine is sequential, so any cap is honored."""
-    raw = os.environ.get("CE_THREADS")
-    if raw is None:
-        return
-    try:
-        val = int(raw)
-    except ValueError:
-        raise CLIError(f"CE_THREADS must be a positive integer, got {raw!r}") from None
-    if val < 1:
-        raise CLIError(f"CE_THREADS must be a positive integer, got {raw!r}")
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -454,13 +445,16 @@ def main(argv=None) -> int:
         code = exc.code
         return 2 if code is None else int(code)
     try:
-        _check_threads_env()
         start = time.perf_counter()
         code, inputs, results = _HANDLERS[args.command](args)
         elapsed_ms = (time.perf_counter() - start) * 1000.0
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Exit 1 means "counterexample found", so a crash must not reach it.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     report = {"command": args.command, "inputs": inputs, "results": results}
     if args.timing:
         report["timing_ms"] = round(elapsed_ms, 3)

@@ -36,11 +36,23 @@ def _divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-# Above this many rows, minimalization switches to the vectorized path;
-# both paths return identical output.
-_BATCH_ROWS = 1024
-# Vectorized paths stay in uint8, so they require exponents below this.
-_BATCH_MAX_EXP = 255
+def _max_exponent(gens) -> int:
+    return max((max(g, default=0) for g in gens), default=0)
+
+
+def _exponent_matrix(rows, nvars: int, top: int) -> np.ndarray:
+    """Rows as a matrix in the narrowest unsigned dtype that holds top.
+
+    Callers pass the largest exponent their step can reach, so no value
+    computed along the step overflows the dtype.
+    """
+    if top >= 1 << 64:
+        raise ValueError(f"exponents up to {top} exceed the 64-bit limit 2**64 - 1")
+    return np.array(rows, dtype=np.min_scalar_type(top)).reshape(len(rows), nvars)
+
+
+def _rows(arr: np.ndarray) -> tuple[Monomial, ...]:
+    return tuple(map(tuple, arr.tolist()))
 
 
 def _divisible_mask(cand: np.ndarray, kept: np.ndarray) -> np.ndarray:
@@ -82,21 +94,6 @@ def _minimalize_array(arr: np.ndarray) -> np.ndarray:
     return np.unique(kept, axis=0)
 
 
-def _minimalize(gens) -> tuple[Monomial, ...]:
-    """Divisibility-minimal generators, lexicographically sorted."""
-    uniq = sorted(set(gens), key=lambda g: (sum(g), g))
-    if len(uniq) > _BATCH_ROWS:
-        arr = np.array(uniq, dtype=np.int64)
-        if arr.max(initial=0) <= _BATCH_MAX_EXP:
-            out = _minimalize_array(arr.astype(np.uint8))
-            return tuple(tuple(int(e) for e in row) for row in out.tolist())
-    kept: list[Monomial] = []
-    for g in uniq:
-        if not any(_divides(h, g) for h in kept):
-            kept.append(g)
-    return tuple(sorted(kept))
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """Monomial ideal given by its unique minimal generators, sorted."""
@@ -115,7 +112,10 @@ def monomial_ideal(nvars: int, gens) -> MonomialIdeal:
             raise ValueError("generator length must equal the variable count")
         if any(e < 0 for e in g):
             raise ValueError("exponents must be nonnegative")
-    return MonomialIdeal(nvars, _minimalize(gens))
+    if not gens:
+        return MonomialIdeal(nvars, ())
+    arr = _exponent_matrix(gens, nvars, _max_exponent(gens))
+    return MonomialIdeal(nvars, _rows(_minimalize_array(arr)))
 
 
 def cover_ideal(G: Graph) -> MonomialIdeal:
@@ -125,30 +125,31 @@ def cover_ideal(G: Graph) -> MonomialIdeal:
     if any(G.degree(v) == 0 for v in range(G.n)):
         raise ValueError("cover ideal is undefined with isolated vertices")
     gens = [tuple(1 if v in c else 0 for v in range(G.n)) for c in minimal_vertex_covers(G)]
-    return monomial_ideal(G.n, gens)
+    # Minimal covers form an antichain, so only sorting is needed.
+    return MonomialIdeal(G.n, tuple(sorted(gens)))
 
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """Product ideal, generated by all pairwise products."""
     if I.nvars != J.nvars:
         raise ValueError("ideals live in different polynomial rings")
-    if len(I.gens) * len(J.gens) >= _BATCH_ROWS * 64 and I.nvars:
-        A = np.array(I.gens, dtype=np.int64)
-        B = np.array(J.gens, dtype=np.int64)
-        if A.max(initial=0) + B.max(initial=0) <= _BATCH_MAX_EXP:
-            A16 = A.astype(np.int16)
-            B16 = B.astype(np.int16)
-            step = max(1, (1 << 25) // (len(B16) * I.nvars))
-            chunks = []
-            for i in range(0, len(A16), step):
-                block = A16[i : i + step, None, :] + B16[None, :, :]
-                chunks.append(np.unique(block.reshape(-1, I.nvars), axis=0))
-            prods_arr = np.vstack(chunks).astype(np.uint8)
-            out = _minimalize_array(prods_arr)
-            gens = tuple(tuple(int(e) for e in row) for row in out.tolist())
-            return MonomialIdeal(I.nvars, gens)
-    prods = {tuple(a + b for a, b in zip(g, h)) for g in I.gens for h in J.gens}
-    return MonomialIdeal(I.nvars, _minimalize(prods))
+    nvars = I.nvars
+    if not I.gens or not J.gens:
+        return MonomialIdeal(nvars, ())
+    if not nvars:
+        return I  # the unit ideal of the ring with no variables
+    top = _max_exponent(I.gens) + _max_exponent(J.gens)
+    A = _exponent_matrix(I.gens, nvars, top)
+    B = _exponent_matrix(J.gens, nvars, top)
+    # Rows of A are taken in blocks so each broadcast sum stays bounded;
+    # with several blocks, deduplicating each keeps the stacked copy small.
+    step = max(1, (1 << 25) // (len(B) * nvars))
+    blocks = []
+    for i in range(0, len(A), step):
+        block = (A[i : i + step, None, :] + B[None, :, :]).reshape(-1, nvars)
+        blocks.append(block if step >= len(A) else np.unique(block, axis=0))
+    prods = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+    return MonomialIdeal(nvars, _rows(_minimalize_array(prods)))
 
 
 def power(I: MonomialIdeal, s: int) -> MonomialIdeal:
@@ -266,26 +267,6 @@ class Decomposition:
         return len(self.components)
 
 
-def _contains_ideal(a: IrreducibleIdeal, b: IrreducibleIdeal) -> bool:
-    """Whether ideal a contains ideal b.
-
-    Every generator x_v^(b_v) of b must lie in a, which for pure powers
-    means v is in a's support with a_v <= b_v.
-    """
-    aexp = dict(a.exps)
-    return all(v in aexp and aexp[v] <= e for v, e in b.exps)
-
-
-def _prune(components) -> tuple[IrreducibleIdeal, ...]:
-    uniq = sorted(set(components), key=IrreducibleIdeal.sort_key)
-    kept = [
-        c
-        for c in uniq
-        if not any(o is not c and _contains_ideal(c, o) for o in uniq)
-    ]
-    return tuple(kept)
-
-
 _DECOMP_CACHE: dict[tuple[int, tuple[Monomial, ...]], tuple[IrreducibleIdeal, ...]] = {}
 
 
@@ -293,115 +274,18 @@ def clear_decomposition_cache() -> None:
     _DECOMP_CACHE.clear()
 
 
-def _split(gens: tuple[Monomial, ...]):
-    """First generator with two or more variables, split at its lowest one."""
-    for g in gens:
-        support = [i for i, e in enumerate(g) if e > 0]
-        if len(support) >= 2:
-            i = support[0]
-            u = tuple(g[i] if j == i else 0 for j in range(len(g)))
-            v = tuple(0 if j == i else e for j, e in enumerate(g))
-            return u, v
-    return None
-
-
-def _add_generator(gens: tuple[Monomial, ...], w: Monomial) -> tuple[Monomial, ...]:
-    # w never lies in the ideal already, so it survives minimalization.
-    return tuple(sorted([g for g in gens if not _divides(w, g)] + [w]))
-
-
-def _pure_component(nvars: int, gens) -> IrreducibleIdeal:
-    exps = []
-    for g in gens:
-        (v,) = [i for i, e in enumerate(g) if e > 0]
-        exps.append((v, g[v]))
-    return IrreducibleIdeal(nvars, tuple(sorted(exps)))
-
-
-def _decompose_by_splitting(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
-    """Decompose by recursive generator splitting.
-
-    Splits the lexicographically first generator with mixed support as
-    g = u * v (u the pure power at g's lowest variable), using
-    I = (I + u) meet (I + v); sub-ideal results are memoized and merged
-    component lists are pruned by pairwise containment, which suffices
-    because an irreducible ideal containing an intersection of monomial
-    ideals contains one of them.
-    """
-    stack: list[tuple[Monomial, ...]] = [I.gens]
-    nvars = I.nvars
-    while stack:
-        gens = stack[-1]
-        key = (nvars, gens)
-        if key in _DECOMP_CACHE:
-            stack.pop()
-            continue
-        split = _split(gens)
-        if split is None:
-            _DECOMP_CACHE[key] = (_pure_component(nvars, gens),)
-            stack.pop()
-            continue
-        u, v = split
-        branches = [_add_generator(gens, u), _add_generator(gens, v)]
-        pending = [b for b in branches if (nvars, b) not in _DECOMP_CACHE]
-        if pending:
-            stack.extend(pending)
-            continue
-        merged = _prune(
-            _DECOMP_CACHE[(nvars, branches[0])] + _DECOMP_CACHE[(nvars, branches[1])]
-        )
-        _DECOMP_CACHE[key] = merged
-        stack.pop()
-    return _DECOMP_CACHE[(nvars, I.gens)]
-
-
-def _intersect_irreducible(
-    nvars: int, K: list[Monomial], sig: Monomial
-) -> list[Monomial]:
-    """Minimal generators of K meet the irreducible ideal with exponents sig.
+def _intersect_irreducible_array(K: np.ndarray, sig_row: np.ndarray) -> np.ndarray:
+    """Minimal rows of K meet the irreducible ideal with exponents sig_row.
 
     For monomial ideals the intersection distributes over generator sums,
-    and intersecting with one pure power x_v^e sends each generator g to
-    lcm(g, x_v^e); minimalizing the union of those images over the support
-    of sig gives the answer.  Generators already inside the irreducible
-    ideal are fixed by the intersection (such a generator is its own image
-    at any v where it meets the bound, and its other images are multiples
-    of it), so only the rest contribute new images — and since every image
-    is a proper multiple of a minimal generator of K, no image can divide
-    one of the fixed generators, which pass through unexamined.
-    """
-    support = [v for v in range(nvars) if sig[v]]
-    passed: list[Monomial] = []
-    images = set()
-    for g in K:
-        if any(g[v] >= sig[v] for v in support):
-            passed.append(g)
-            continue
-        for v in support:
-            lcm = list(g)
-            lcm[v] = sig[v]
-            images.add(tuple(lcm))
-    if not images:
-        return K
-    kept = [
-        m
-        for m in _minimalize(images)
-        if not any(_divides(p, m) for p in passed)
-    ]
-    return passed + kept
-
-
-def _intersect_irreducible_array(K: np.ndarray, sig_row: np.ndarray) -> np.ndarray:
-    """Array form of _intersect_irreducible: K rows meet the ideal sig_row.
-
-    K stays a uint8 matrix across the whole intersection chain, which
-    avoids re-encoding tens of thousands of rows on every generator step.
-
-    Only the raised images of the rows outside the new ideal need
-    screening: every image is a proper multiple of a row of K, so an
-    image dividing a kept row would make that row non-minimal in K.
-    The kept rows therefore pass through untouched and the per-step cost
-    scales with the number of raised rows, not with the size of K.
+    and meeting one pure power x_v^e sends each row g to lcm(g, x_v^e);
+    minimalizing the union of those images over the support of sig_row
+    gives the answer.  Rows already inside the irreducible ideal are fixed
+    by the intersection and pass through untouched: every image is a
+    proper multiple of a row of K, so an image dividing a passed row would
+    make that row non-minimal in K.  Only the images of the other rows
+    need screening, so the per-step cost scales with the number of raised
+    rows, not with the size of K.
     """
     support = np.flatnonzero(sig_row)
     inside = (K[:, support] >= sig_row[support]).any(axis=1)
@@ -432,61 +316,39 @@ def _decompose_by_duality(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
     time, keeping intermediate generator sets minimal.
     """
     nvars = I.nvars
-    gens = I.gens
-    amax = tuple(max(g[v] for g in gens) for v in range(nvars))
-    sigmas = [
-        tuple(amax[v] + 1 - m[v] if m[v] else 0 for v in range(nvars)) for m in gens
+    # Every dual exponent is at most max(a) + 1, and the chain only takes
+    # lcms of those values, so one matrix dtype serves the whole chain and
+    # no row is re-encoded between steps.
+    M = _exponent_matrix(I.gens, nvars, _max_exponent(I.gens) + 1)
+    amax = M.max(axis=0)
+    sigmas = amax + 1 - M
+    sigmas[M == 0] = 0
+    K = np.diag(sigmas[0])[sigmas[0] > 0]
+    for sig_row in sigmas[1:]:
+        K = _intersect_irreducible_array(K, sig_row)
+    top = [a + 1 for a in amax.tolist()]
+    comps = [
+        IrreducibleIdeal(nvars, tuple((v, top[v] - e) for v, e in enumerate(c) if e))
+        for c in K.tolist()
     ]
-    first = sigmas[0]
-    K = [
-        tuple(first[v] if v == w else 0 for v in range(nvars))
-        for w in range(nvars)
-        if first[w]
-    ]
-    # Every dual exponent is at most max(amax) + 1, and intermediate
-    # generators only ever take lcms of those values, so the whole chain
-    # fits the vectorized dtype whenever the input does.
-    if max(amax) + 1 <= _BATCH_MAX_EXP:
-        arr = np.array(K, dtype=np.uint8)
-        sig_mat = np.array(sigmas, dtype=np.uint8)
-        for i in range(1, len(sigmas)):
-            arr = _intersect_irreducible_array(arr, sig_mat[i])
-        K = [tuple(int(e) for e in row) for row in arr.tolist()]
-    else:
-        for sig in sigmas[1:]:
-            K = _intersect_irreducible(nvars, K, sig)
-    comps = []
-    for c in K:
-        exps = tuple((v, amax[v] + 1 - c[v]) for v in range(nvars) if c[v])
-        comps.append(IrreducibleIdeal(nvars, exps))
     return tuple(sorted(comps, key=IrreducibleIdeal.sort_key))
 
 
-def irreducible_decomposition(I: MonomialIdeal, method: str = "duality") -> Decomposition:
+def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:
     """Unique irredundant decomposition into irreducible monomial ideals.
 
-    Two independent engines compute the same canonical answer: "duality"
-    (the default, which scales to large powers) intersects the
-    generator-duals and flips the result back, while "splitting" recurses
-    on generator splits with memoized sub-ideals.  Results are cached by
-    generator list.
+    Computed by generator-wise duality and returned in canonical order;
+    results are cached by generator list.
     """
-    if method not in ("duality", "splitting"):
-        raise ValueError(f"unknown decomposition method: {method!r}")
     if not I.gens:
         raise ValueError("the zero ideal has no irreducible decomposition")
     if any(sum(g) == 0 for g in I.gens):
         raise ValueError("the unit ideal has no irreducible decomposition")
     key = (I.nvars, I.gens)
     cached = _DECOMP_CACHE.get(key)
-    if cached is not None:
-        return Decomposition(cached)
-    if method == "duality":
-        comps = _decompose_by_duality(I)
-    else:
-        comps = _decompose_by_splitting(I)
-    _DECOMP_CACHE[key] = comps
-    return Decomposition(comps)
+    if cached is None:
+        cached = _DECOMP_CACHE[key] = _decompose_by_duality(I)
+    return Decomposition(cached)
 
 
 def associated_primes(I: MonomialIdeal) -> list[frozenset[int]]:

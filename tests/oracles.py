@@ -1,13 +1,14 @@
 """Independent brute-force reference implementations used to freeze expected
 values.  Everything here is deliberately naive and shares no algorithmic
 machinery with the package: plain backtracking, full subset enumeration,
-permutation search."""
+permutation search, and decomposition by recursive generator splitting."""
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from coverideal.graphs import Graph, build_graph
+from coverideal.ideals import IrreducibleIdeal, MonomialIdeal
 
 
 # ---------------------------------------------------------------------------
@@ -185,3 +186,84 @@ def brute_contains_in_power(gens, d: int, m) -> bool:
 def monomial_box(bounds):
     """All exponent vectors with 0 <= m_i <= bounds_i."""
     return product(*(range(b + 1) for b in bounds))
+
+
+# ---------------------------------------------------------------------------
+# irreducible decomposition by recursive generator splitting
+
+
+def _split(gens):
+    """First generator with two or more variables, split at its lowest one."""
+    for g in gens:
+        support = [i for i, e in enumerate(g) if e > 0]
+        if len(support) >= 2:
+            i = support[0]
+            u = tuple(g[i] if j == i else 0 for j in range(len(g)))
+            v = tuple(0 if j == i else e for j, e in enumerate(g))
+            return u, v
+    return None
+
+
+def _add_generator(gens, w):
+    # w never lies in the ideal already, so it survives minimalization.
+    return tuple(sorted([g for g in gens if not brute_divides(w, g)] + [w]))
+
+
+def _pure_component(nvars: int, gens) -> IrreducibleIdeal:
+    exps = []
+    for g in gens:
+        (v,) = [i for i, e in enumerate(g) if e > 0]
+        exps.append((v, g[v]))
+    return IrreducibleIdeal(nvars, tuple(sorted(exps)))
+
+
+def _contains_ideal(a: IrreducibleIdeal, b: IrreducibleIdeal) -> bool:
+    """Whether ideal a contains ideal b.
+
+    Every generator x_v^(b_v) of b must lie in a, which for pure powers
+    means v is in a's support with a_v <= b_v.
+    """
+    aexp = dict(a.exps)
+    return all(v in aexp and aexp[v] <= e for v, e in b.exps)
+
+
+def _prune(components) -> tuple[IrreducibleIdeal, ...]:
+    uniq = sorted(set(components), key=IrreducibleIdeal.sort_key)
+    kept = [
+        c
+        for c in uniq
+        if not any(o is not c and _contains_ideal(c, o) for o in uniq)
+    ]
+    return tuple(kept)
+
+
+def splitting_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
+    """Irredundant irreducible components, canonically sorted, by splitting.
+
+    Splits the lexicographically first generator with mixed support as
+    g = u * v (u the pure power at g's lowest variable), using
+    I = (I + u) meet (I + v); sub-ideal results are memoized for this call
+    and merged component lists are pruned by pairwise containment, which
+    suffices because an irreducible ideal containing an intersection of
+    monomial ideals contains one of them.
+    """
+    memo: dict[tuple, tuple[IrreducibleIdeal, ...]] = {}
+    stack = [I.gens]
+    while stack:
+        gens = stack[-1]
+        if gens in memo:
+            stack.pop()
+            continue
+        split = _split(gens)
+        if split is None:
+            memo[gens] = (_pure_component(I.nvars, gens),)
+            stack.pop()
+            continue
+        branches = [_add_generator(gens, w) for w in split]
+        pending = [b for b in branches if b not in memo]
+        if pending:
+            stack.extend(pending)
+            continue
+        memo[gens] = _prune(memo[branches[0]] + memo[branches[1]])
+        stack.pop()
+    return memo[I.gens]

@@ -9,6 +9,7 @@ import sys
 import networkx as nx
 import pytest
 
+from coverideal import cli
 from coverideal.cli import CLIError, main, parse_edge_list, parse_graph6
 from coverideal.graphs import build_graph, family
 
@@ -307,6 +308,11 @@ class TestInputChannels:
         code, _, err = run_cli(capsys, "invariants", "--graph6", "D")
         assert code == 2 and "error:" in err
 
+    def test_graph_without_vertices(self, capsys):
+        code, out, err = run_cli(capsys, "invariants", "--graph6", "?")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
     def test_exactly_one_input_required(self, capsys):
         code, _, _ = run_cli(capsys, "invariants")
         assert code == 2
@@ -345,17 +351,16 @@ class TestReportDiscipline:
         assert code == 0
 
 
-class TestThreadsEnv:
-    def test_valid_cap_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("CE_THREADS", "4")
-        code, _, _ = run_json(capsys, "invariants", "--builtin", "cycle:5")
-        assert code == 0
+class TestInternalErrors:
+    def test_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
 
-    @pytest.mark.parametrize("value", ["0", "-2", "four"])
-    def test_invalid_cap_rejected(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("CE_THREADS", value)
-        code, _, err = run_cli(capsys, "invariants", "--builtin", "cycle:5")
-        assert code == 2 and "error:" in err
+        monkeypatch.setitem(cli._HANDLERS, "invariants", boom)
+        code, out, err = run_cli(capsys, "invariants", "--builtin", "cycle:5")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
 
 
 class TestConsoleEntryPoint:

@@ -28,9 +28,11 @@ from oracles import (
     brute_contains,
     brute_contains_in_power,
     brute_minimal_vertex_covers,
+    brute_minimalize,
     brute_power_gens,
     brute_product_gens,
     monomial_box,
+    splitting_decomposition,
 )
 
 
@@ -292,19 +294,15 @@ class TestAssociatedPrimes:
 
 
 class TestDecompositionEngines:
-    """The duality and splitting engines must compute identical answers."""
+    """The duality engine must match the splitting oracle exactly."""
 
     @given(monomial_ideals())
     def test_engines_agree_on_random_ideals(self, data):
-        from coverideal.ideals import _decompose_by_duality, _decompose_by_splitting
-
         nvars, gens = data
         I = monomial_ideal(nvars, gens)
-        assert _decompose_by_duality(I) == _decompose_by_splitting(I)
+        assert irreducible_decomposition(I).components == splitting_decomposition(I)
 
     def test_engines_agree_on_cover_ideal_powers(self):
-        from coverideal.ideals import _decompose_by_duality, _decompose_by_splitting
-
         expected = {
             ("cycle", 5, 3): 20,
             ("cycle", 7, 2): 15,
@@ -312,45 +310,44 @@ class TestDecompositionEngines:
         }
         for (kind, n, s), count in expected.items():
             I = power(cover_ideal(family(kind, n)), s)
-            dual = _decompose_by_duality(I)
-            split = _decompose_by_splitting(I)
-            assert dual == split
+            dual = irreducible_decomposition(I).components
+            assert dual == splitting_decomposition(I)
             assert len(dual) == count
 
-    def test_method_keyword(self):
-        I = power(cover_ideal(family("cycle", 5)), 2)
-        clear_decomposition_cache()
-        by_duality = irreducible_decomposition(I, method="duality")
-        clear_decomposition_cache()
-        by_splitting = irreducible_decomposition(I, method="splitting")
-        assert by_duality == by_splitting
-        with pytest.raises(ValueError):
-            irreducible_decomposition(I, method="fastest")
-
     def test_engines_agree_on_large_exponents(self):
-        from coverideal.ideals import _decompose_by_duality, _decompose_by_splitting
-
-        # Exponents beyond the vectorized dtype range force the scalar path.
+        # Exponents past 255 widen the whole duality chain to uint16.
         I = monomial_ideal(2, [(300, 0), (1, 2), (0, 400)])
-        assert _decompose_by_duality(I) == _decompose_by_splitting(I)
+        assert irreducible_decomposition(I).components == splitting_decomposition(I)
+
+    @pytest.mark.parametrize("top", [255, 256, 65_535, 65_536])
+    def test_wide_exponents_match_oracles(self, top):
+        # The largest product exponent is top: 255 and 65,535 fill uint8
+        # and uint16 exactly, 256 and 65,536 need the next dtype.
+        a, b = top // 2, top - top // 2
+        A = monomial_ideal(3, [(a, 1, 0), (0, a, 2), (2, 0, a), (1, 1, 1)])
+        B = monomial_ideal(3, [(b, 0, 0), (0, 3, b), (1, 2, 1)])
+        prod = multiply(A, B)
+        assert prod.gens == brute_product_gens(A.gens, B.gens)
+        assert max(max(g) for g in prod.gens) == top
+        assert irreducible_decomposition(prod).components == splitting_decomposition(prod)
+
+    def test_exponents_past_64_bits_rejected(self):
+        with pytest.raises(ValueError, match="64-bit"):
+            monomial_ideal(2, [(2**64, 0), (0, 1)])
+        I = monomial_ideal(1, [(2**63,)])
+        with pytest.raises(ValueError, match="64-bit"):
+            multiply(I, I)
+        # The duality chain needs one more than the largest exponent.
+        with pytest.raises(ValueError, match="64-bit"):
+            irreducible_decomposition(monomial_ideal(1, [(2**64 - 1,)]))
 
     def test_batched_minimalize_matches_scalar(self):
         import random
 
-        from coverideal.ideals import _BATCH_ROWS, _minimalize
-
         rng = random.Random(20260815)
-        rows = {
-            tuple(rng.randint(0, 6) for _ in range(6)) for _ in range(2 * _BATCH_ROWS)
-        }
+        rows = {tuple(rng.randint(0, 6) for _ in range(6)) for _ in range(2048)}
         rows = [r for r in rows if sum(r)]
-        assert len(rows) > _BATCH_ROWS  # exercises the vectorized path
-        got = _minimalize(rows)
-        kept = []
-        for g in sorted(rows, key=lambda g: (sum(g), g)):
-            if not any(all(h[v] <= g[v] for v in range(6)) for h in kept):
-                kept.append(g)
-        assert got == tuple(sorted(kept))
+        assert monomial_ideal(6, rows).gens == brute_minimalize(rows)
 
     def test_large_product_matches_pairwise_sums(self):
         import itertools
