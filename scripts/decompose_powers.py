@@ -24,7 +24,7 @@ from collections import Counter
 
 from coverideal.cli import CLIError, parse_builtin
 from coverideal.correspondence import verify_correspondence
-from coverideal.ideals import cover_ideal, irreducible_decomposition, power
+from coverideal.ideals import cover_ideal, irreducible_decomposition, multiply
 
 
 def main(argv=None) -> int:
@@ -46,9 +46,11 @@ def main(argv=None) -> int:
     print(f"{args.builtin}: n={G.n} m={G.m}, cover ideal has "
           f"{len(J.gens)} minimal generators", flush=True)
 
+    Js = J
     for s in range(1, args.s_max + 1):
         t0 = time.perf_counter()
-        Js = power(J, s)
+        if s > 1:
+            Js = multiply(Js, J)
         t_pow = time.perf_counter() - t0
         t0 = time.perf_counter()
         decomp = irreducible_decomposition(Js)

@@ -6,121 +6,19 @@ powers of cover ideals, and the dictionary between those components and
 critically colored induced subgraphs of graph expansions.
 """
 
-from .coloring import (
-    Coloring,
-    FractionalCertificate,
-    b_fold_chromatic,
-    certificate_is_valid,
-    chromatic_number,
-    classify_chi_f_window,
-    coloring_is_proper,
-    fractional_chromatic,
-    fractional_value,
-    is_critical,
-)
-from .correspondence import (
-    ComponentCorrespondence,
-    ConjectureWitness,
-    PersistenceFinding,
-    SweepReport,
-    component_to_Y,
-    conjecture_search,
-    converse_correspondence,
-    persistence_check,
-    persistence_sweep,
-    probe_expansion,
-    technical_lemma_check,
-    verify_correspondence,
-)
-from .corpus import all_graphs, connected_graphs, critical_graphs, graphs_with_min_degree
-from .graphs import (
-    Graph,
-    build_graph,
-    complement,
-    delete_vertex,
-    expand,
-    family,
-    induced_subgraph,
-    is_connected,
-    is_isomorphic,
-    kneser_graph,
-    maximal_independent_sets,
-    minimal_vertex_covers,
-    mycielski,
-    path_graph,
-    power_expansion,
-)
-from .ideals import (
-    Decomposition,
-    IrreducibleIdeal,
-    MonomialIdeal,
-    associated_primes,
-    b_fold_via_membership,
-    clear_decomposition_cache,
-    contains,
-    contains_in_power,
-    cover_ideal,
-    irreducible_decomposition,
-    monomial_ideal,
-    multiply,
-    power,
-)
+from . import coloring, corpus, correspondence, graphs, ideals
+from .coloring import *
+from .correspondence import *
+from .corpus import *
+from .graphs import *
+from .ideals import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Graph",
-    "build_graph",
-    "complement",
-    "family",
-    "path_graph",
-    "kneser_graph",
-    "induced_subgraph",
-    "delete_vertex",
-    "expand",
-    "power_expansion",
-    "mycielski",
-    "maximal_independent_sets",
-    "minimal_vertex_covers",
-    "is_connected",
-    "is_isomorphic",
-    "Coloring",
-    "FractionalCertificate",
-    "chromatic_number",
-    "is_critical",
-    "b_fold_chromatic",
-    "fractional_chromatic",
-    "fractional_value",
-    "classify_chi_f_window",
-    "coloring_is_proper",
-    "certificate_is_valid",
-    "MonomialIdeal",
-    "IrreducibleIdeal",
-    "Decomposition",
-    "monomial_ideal",
-    "cover_ideal",
-    "multiply",
-    "power",
-    "contains",
-    "contains_in_power",
-    "b_fold_via_membership",
-    "irreducible_decomposition",
-    "associated_primes",
-    "clear_decomposition_cache",
-    "ComponentCorrespondence",
-    "ConjectureWitness",
-    "PersistenceFinding",
-    "SweepReport",
-    "component_to_Y",
-    "verify_correspondence",
-    "converse_correspondence",
-    "persistence_check",
-    "persistence_sweep",
-    "conjecture_search",
-    "probe_expansion",
-    "technical_lemma_check",
-    "all_graphs",
-    "connected_graphs",
-    "graphs_with_min_degree",
-    "critical_graphs",
-]
+__all__ = (
+    graphs.__all__
+    + coloring.__all__
+    + ideals.__all__
+    + correspondence.__all__
+    + corpus.__all__
+)

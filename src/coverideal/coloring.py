@@ -238,7 +238,7 @@ def _ceil_frac(num: int, den: int) -> int:
     return -(-num // den)
 
 
-def _greedy_multicover(sets, member, b: int, n: int) -> list[int]:
+def _greedy_multicover(sets, b: int, n: int) -> list[int]:
     deficits = [b] * n
     chosen: list[int] = []
     while max(deficits) > 0:
@@ -328,7 +328,7 @@ def b_fold_chromatic(G: Graph, b: int) -> tuple[int, Coloring]:
     if len(sets) <= _LP_COLUMN_LIMIT:
         value, _ = _cover_lp(G)
         lb = max(lb, _ceil_frac(b * value.numerator, value.denominator))
-    chosen = _greedy_multicover(sets, member, b, G.n)
+    chosen = _greedy_multicover(sets, b, G.n)
     for d in range(lb, len(chosen)):
         sel = _multicover_decision(sets, member, b, G.n, d, alpha)
         if sel is not None:

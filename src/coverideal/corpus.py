@@ -46,31 +46,9 @@ def _dedupe(candidates) -> list[Graph]:
     return reps
 
 
-def _extensions(parent: Graph, neighborhoods) -> list[Graph]:
-    """Attach one new vertex to the parent for each allowed neighborhood."""
-    n = parent.n + 1
-    base_edges = parent.edges()
-    out = []
-    for S in neighborhoods:
-        out.append(build_graph(n, base_edges + [(u, n - 1) for u in S]))
-    return out
-
-
-@lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """All simple graphs on n vertices, one per isomorphism class."""
-    if n < 1:
-        raise ValueError("vertex count must be >= 1")
-    if n == 1:
-        return (build_graph(1, []),)
-    parents = all_graphs(n - 1)
-    neighborhoods = [
-        S for size in range(n) for S in combinations(range(n - 1), size)
-    ]
-    candidates = (
-        H for parent in parents for H in _extensions(parent, neighborhoods)
-    )
-    return tuple(_dedupe(candidates))
+    return graphs_with_min_degree(n, 0)
 
 
 @lru_cache(maxsize=None)
@@ -86,31 +64,30 @@ def graphs_with_min_degree(n: int, dmin: int) -> tuple[Graph, ...]:
     Deleting a vertex lowers each remaining degree by at most one, so every
     such graph extends an (n-1)-vertex graph of minimum degree >= dmin - 1,
     with the new neighborhood covering every parent vertex of degree
-    dmin - 1 and having size >= dmin.
+    dmin - 1 and having size >= dmin.  A dmin of 0 or less gives all graphs.
     """
     if n < 1:
         raise ValueError("vertex count must be >= 1")
-    if dmin <= 0:
-        return all_graphs(n)
-    if n == 1:
-        return ()
+    dmin = max(dmin, 0)
     if dmin > n - 1:
         return ()
-    parents = graphs_with_min_degree(n - 1, dmin - 1)
-    candidates = []
-    for parent in parents:
-        deficient = frozenset(
-            v for v in range(parent.n) if len(parent.adj[v]) < dmin
-        )
-        optional = [v for v in range(parent.n) if v not in deficient]
-        need = max(dmin - len(deficient), 0)
-        neighborhoods = [
-            tuple(sorted(deficient | set(extra)))
-            for size in range(need, len(optional) + 1)
-            for extra in combinations(optional, size)
-        ]
-        candidates.extend(_extensions(parent, neighborhoods))
-    return tuple(_dedupe(candidates))
+    if n == 1:
+        return (build_graph(1, []),)
+
+    def candidates():
+        for parent in graphs_with_min_degree(n - 1, max(dmin - 1, 0)):
+            deficient = frozenset(
+                v for v in range(parent.n) if len(parent.adj[v]) < dmin
+            )
+            optional = [v for v in range(parent.n) if v not in deficient]
+            need = max(dmin - len(deficient), 0)
+            base_edges = parent.edges()
+            for size in range(need, len(optional) + 1):
+                for extra in combinations(optional, size):
+                    S = sorted(deficient | set(extra))
+                    yield build_graph(n, base_edges + [(u, n - 1) for u in S])
+
+    return tuple(_dedupe(candidates()))
 
 
 @lru_cache(maxsize=None)

@@ -8,19 +8,14 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .coloring import chromatic_number, is_critical, b_fold_chromatic
-from .graphs import (
-    Graph,
-    expand,
-    induced_subgraph,
-    maximal_independent_sets,
-    power_expansion,
-)
+from .graphs import Graph, expand, maximal_independent_sets, replicate
 from .ideals import (
     IrreducibleIdeal,
     associated_primes,
     contains_in_power,
     cover_ideal,
     irreducible_decomposition,
+    multiply,
     power,
 )
 
@@ -77,18 +72,31 @@ def component_to_Y(component: IrreducibleIdeal, s: int) -> frozenset[int]:
     )
 
 
+def _shadow_graph(G: Graph, component: IrreducibleIdeal, s: int) -> Graph:
+    """Induced subgraph of the s-th expansion on the component's shadow set.
+
+    Built directly as a replication: a variable with exponent a keeps
+    s - a + 1 shadows, a variable outside the support none.
+    """
+    copies = [0] * G.n
+    for v, a in component.exps:
+        copies[v] = s - a + 1
+    return replicate(G, copies)
+
+
 def verify_correspondence(G: Graph, s: int) -> list[ComponentCorrespondence]:
     """Check every component of J(G)^s against its critical-subgraph reading.
 
     For each irreducible component, the induced subgraph of the s-th
     expansion on its shadow set must be critically (s+1)-chromatic.
     """
-    Gs = power_expansion(G, s)
+    if s < 1:
+        raise ValueError("expansion order must be >= 1")
     decomp = irreducible_decomposition(power(cover_ideal(G), s))
     out = []
     for comp in decomp:
         Y = component_to_Y(comp, s)
-        H = induced_subgraph(Gs, Y)
+        H = _shadow_graph(G, comp, s)
         critical, chi, _ = is_critical(H)
         out.append(
             ComponentCorrespondence(
@@ -110,7 +118,8 @@ def converse_correspondence(G: Graph, s: int) -> list[IrreducibleIdeal]:
     subgraph of the s-th expansion, and returns the ones missing from the
     decomposition.  An empty list is the expected outcome.
     """
-    Gs = power_expansion(G, s)
+    if s < 1:
+        raise ValueError("expansion order must be >= 1")
     decomp = set(irreducible_decomposition(power(cover_ideal(G), s)))
     missing = []
     for r in range(1, G.n + 1):
@@ -120,7 +129,7 @@ def converse_correspondence(G: Graph, s: int) -> list[IrreducibleIdeal]:
                 if size <= s:
                     continue
                 comp = IrreducibleIdeal(G.n, tuple(zip(support, exps)))
-                H = induced_subgraph(Gs, component_to_Y(comp, s))
+                H = _shadow_graph(G, comp, s)
                 chi, _ = chromatic_number(H)
                 if chi != s + 1:
                     continue
@@ -135,8 +144,9 @@ def persistence_check(G: Graph, s: int) -> tuple[bool, list[frozenset[int]]]:
     if s < 1:
         raise ValueError("power must be >= 1")
     J = cover_ideal(G)
-    ass_s = associated_primes(power(J, s))
-    ass_next = set(associated_primes(power(J, s + 1)))
+    Js = power(J, s)
+    ass_s = associated_primes(Js)
+    ass_next = set(associated_primes(multiply(Js, J)))
     missing = [p for p in ass_s if p not in ass_next]
     return not missing, missing
 
@@ -161,31 +171,37 @@ class SweepReport:
 
 
 def persistence_sweep(graphs, s_max: int) -> SweepReport:
-    """Run persistence_check for s = 1..s_max over a family of graphs."""
+    """Check persistence for s = 1..s_max over a family of graphs.
+
+    Each graph's powers J, J^2, ..., J^(s_max+1) are built once, each from
+    the one before, and the associated primes of each are taken once.
+    """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     findings = []
-    checks = 0
     graphs = list(graphs)
     for gi, G in enumerate(graphs):
-        J = cover_ideal(G)
+        J = P = cover_ideal(G)
+        ass = [tuple(associated_primes(J))]
         for s in range(1, s_max + 1):
-            checks += 1
-            holds, missing = persistence_check(G, s)
-            if not holds:
+            P = multiply(P, J)
+            ass.append(tuple(associated_primes(P)))
+            ass_next = set(ass[s])
+            missing = tuple(p for p in ass[s - 1] if p not in ass_next)
+            if missing:
                 findings.append(
                     PersistenceFinding(
                         graph_index=gi,
                         s=s,
-                        missing=tuple(missing),
-                        ass_s=tuple(associated_primes(power(J, s))),
-                        ass_next=tuple(associated_primes(power(J, s + 1))),
+                        missing=missing,
+                        ass_s=ass[s - 1],
+                        ass_next=ass[s],
                     )
                 )
     return SweepReport(
         graphs_checked=len(graphs),
         s_max=s_max,
-        checks_run=checks,
+        checks_run=len(graphs) * s_max,
         findings=tuple(findings),
     )
 

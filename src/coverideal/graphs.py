@@ -7,7 +7,7 @@ variable notation x_i corresponds to vertex index i - 1 throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 __all__ = [
     "Graph",
@@ -18,6 +18,7 @@ __all__ = [
     "kneser_graph",
     "induced_subgraph",
     "delete_vertex",
+    "replicate",
     "expand",
     "power_expansion",
     "mycielski",
@@ -48,9 +49,6 @@ class Graph:
         """Number of edges."""
         return sum(len(nbrs) for nbrs in self.adj) // 2
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -60,12 +58,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v, in sorted order."""
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
-
-    def label_index(self) -> dict[Label, int]:
-        """Map each (base, copy) label to its vertex index."""
-        if self.labels is None:
-            raise ValueError("graph carries no shadow labels")
-        return {lab: v for v, lab in enumerate(self.labels)}
 
 
 def build_graph(n: int, edges, labels=None) -> Graph:
@@ -162,56 +154,48 @@ def delete_vertex(G: Graph, v: int) -> Graph:
     return induced_subgraph(G, [u for u in range(G.n) if u != v])
 
 
+def replicate(G: Graph, copies) -> Graph:
+    """Replace each vertex v by a clique of ``copies[v]`` shadows.
+
+    Shadows of v are labeled (v, 1)..(v, copies[v]); a count of 0 drops v.
+    Shadows of adjacent vertices are completely joined.  Vertices keep the
+    canonical order (base ascending, copy ascending).
+    """
+    copies = list(copies)
+    if len(copies) != G.n:
+        raise ValueError("need one copy count per vertex")
+    if any(c < 0 for c in copies):
+        raise ValueError("copy counts must be nonnegative")
+    start = list(accumulate(copies, initial=0))
+    shadows = [range(start[v], start[v + 1]) for v in range(G.n)]
+    labels = [(v, c) for v in range(G.n) for c in range(1, copies[v] + 1)]
+    edges = [e for r in shadows for e in combinations(r, 2)]
+    for u, v in G.edges():
+        edges.extend(product(shadows[u], shadows[v]))
+    return build_graph(start[-1], edges, labels)
+
+
 def expand(G: Graph, W) -> Graph:
     """Replace each vertex of W by an adjacent pair of shadows.
 
     Both shadows inherit all neighbors of the original vertex (and are
-    adjacent to both shadows of any expanded neighbor).  Vertices keep the
-    canonical order (base ascending, copy ascending) and carry
-    (base, copy) labels; unexpanded vertices get copy 1.
+    adjacent to both shadows of any expanded neighbor); unexpanded vertices
+    keep one shadow, labeled (v, 1).  See ``replicate``.
     """
     W = frozenset(W)
     if W and not all(0 <= w < G.n for w in W):
         raise ValueError("expansion vertex out of range")
-    copies = [2 if v in W else 1 for v in range(G.n)]
-    labels: list[Label] = []
-    index: dict[Label, int] = {}
-    for v in range(G.n):
-        for c in range(1, copies[v] + 1):
-            index[(v, c)] = len(labels)
-            labels.append((v, c))
-    edges = []
-    for u, v in G.edges():
-        for cu in range(1, copies[u] + 1):
-            for cv in range(1, copies[v] + 1):
-                edges.append((index[(u, cu)], index[(v, cv)]))
-    for w in W:
-        edges.append((index[(w, 1)], index[(w, 2)]))
-    return build_graph(len(labels), edges, labels)
+    return replicate(G, [2 if v in W else 1 for v in range(G.n)])
 
 
 def power_expansion(G: Graph, s: int) -> Graph:
     """s-th expansion: each vertex becomes a clique of s shadows.
 
-    Shadows of vertex i are labeled (i, 1)..(i, s) and placed at indices
-    i*s .. i*s + s - 1; shadows of adjacent vertices are completely joined.
+    Shadow (i, j) sits at index i*s + (j - 1).  See ``replicate``.
     """
     if s < 1:
         raise ValueError("expansion order must be >= 1")
-    labels = [(i, j) for i in range(G.n) for j in range(1, s + 1)]
-
-    def idx(i: int, j: int) -> int:
-        return i * s + (j - 1)
-
-    edges = []
-    for i in range(G.n):
-        for j, k in combinations(range(1, s + 1), 2):
-            edges.append((idx(i, j), idx(i, k)))
-    for u, v in G.edges():
-        for j in range(1, s + 1):
-            for k in range(1, s + 1):
-                edges.append((idx(u, j), idx(v, k)))
-    return build_graph(G.n * s, edges, labels)
+    return replicate(G, [s] * G.n)
 
 
 def mycielski(G: Graph) -> Graph:

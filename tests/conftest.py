@@ -1,12 +1,7 @@
-import sys
-from pathlib import Path
-
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from coverideal.graphs import Graph, build_graph  # noqa: E402
+from coverideal.graphs import Graph, build_graph
 
 settings.register_profile(
     "suite",

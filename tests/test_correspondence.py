@@ -9,9 +9,15 @@ import os
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import graphs_with_edges
+from coverideal import correspondence
 from coverideal.coloring import chromatic_number, is_critical
 from coverideal.correspondence import (
+    PersistenceFinding,
+    _shadow_graph,
     component_to_Y,
     conjecture_search,
     converse_correspondence,
@@ -31,10 +37,12 @@ from coverideal.graphs import (
 )
 from coverideal.ideals import (
     IrreducibleIdeal,
+    associated_primes,
     cover_ideal,
     irreducible_decomposition,
     power,
 )
+from oracles import brute_replicate
 
 EXTENDED = os.environ.get("COVERIDEAL_EXTENDED") == "1"
 
@@ -63,6 +71,33 @@ class TestComponentToY:
             component_to_Y(IrreducibleIdeal(3, ((0, 3),)), 2)
         with pytest.raises(ValueError):
             component_to_Y(IrreducibleIdeal(3, ((0, 1),)), 0)
+
+
+def _assert_shadow_graphs_match_oracle(G, s):
+    """Each component's shadow graph is the replication keeping s - a_v + 1
+    shadows of v, and the subgraph of G^s induced on component_to_Y."""
+    Gs = brute_replicate(G, [s] * G.n)
+    for comp in irreducible_decomposition(power(cover_ideal(G), s)):
+        a = dict(comp.exps)
+        copies = [s - a[v] + 1 if v in a else 0 for v in range(G.n)]
+        H = _shadow_graph(G, comp, s)
+        assert H == brute_replicate(G, copies)
+        assert H == induced_subgraph(Gs, component_to_Y(comp, s))
+
+
+class TestShadowGraphs:
+    @pytest.mark.parametrize(
+        "G",
+        [family("cycle", 5), family("complete", 4), mycielski(family("cycle", 5))],
+        ids=["C5", "K4", "M(C5)"],
+    )
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_match_oracle(self, G, s):
+        _assert_shadow_graphs_match_oracle(G, s)
+
+    @given(graphs_with_edges(max_n=5), st.integers(1, 2))
+    def test_match_oracle_on_random_graphs(self, G, s):
+        _assert_shadow_graphs_match_oracle(G, s)
 
 
 class TestVerifyCorrespondence:
@@ -136,6 +171,54 @@ class TestPersistence:
         )
         assert report.checks_run == 9
         assert report.findings == ()
+
+    def test_sweep_reports_a_dropped_prime(self, monkeypatch):
+        K2, C5 = family("complete", 2), family("cycle", 5)
+        J = cover_ideal(C5)
+        J2 = power(J, 2)
+        dropped = frozenset({0, 1})
+        assert dropped in associated_primes(J2)
+
+        def drop_from_square(I):
+            primes = associated_primes(I)
+            return [p for p in primes if p != dropped] if I == J2 else primes
+
+        monkeypatch.setattr(correspondence, "associated_primes", drop_from_square)
+        report = persistence_sweep([K2, C5], 2)
+        assert report.checks_run == 4
+        assert report.findings == (
+            PersistenceFinding(
+                graph_index=1,
+                s=1,
+                missing=(dropped,),
+                ass_s=tuple(associated_primes(J)),
+                ass_next=tuple(p for p in associated_primes(J2) if p != dropped),
+            ),
+        )
+        assert persistence_check(C5, 1) == (False, [dropped])
+
+    @pytest.mark.parametrize("patched", [False, True], ids=["real", "patched"])
+    def test_sweep_agrees_with_check(self, monkeypatch, patched):
+        if patched:
+            # Drop the first prime of every power past the first, so that
+            # both routes meet findings on most graphs.
+            def drop_first(I):
+                primes = associated_primes(I)
+                squarefree = all(e <= 1 for g in I.gens for e in g)
+                return primes if squarefree else primes[1:]
+
+            monkeypatch.setattr(correspondence, "associated_primes", drop_first)
+        corpus = [G for n in range(2, 6) for G in connected_graphs(n)]
+        report = persistence_sweep(corpus, 2)
+        got = [(f.graph_index, f.s, list(f.missing)) for f in report.findings]
+        want = []
+        for gi, G in enumerate(corpus):
+            for s in (1, 2):
+                holds, missing = persistence_check(G, s)
+                if not holds:
+                    want.append((gi, s, missing))
+        assert got == want
+        assert bool(want) == patched
 
     def test_sweep_rejects_bad_smax(self):
         with pytest.raises(ValueError):

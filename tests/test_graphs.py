@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import graphs, graphs_with_edges
 from coverideal.graphs import (
     build_graph,
     complement,
@@ -26,13 +26,21 @@ from coverideal.graphs import (
     mycielski,
     path_graph,
     power_expansion,
+    replicate,
 )
 from oracles import (
     brute_is_isomorphic,
     brute_maximal_independent_sets,
     brute_minimal_vertex_covers,
+    brute_replicate,
     sequential_expand,
 )
+
+REPLICATION_CASES = [
+    family("cycle", 5),
+    family("complete", 4),
+    mycielski(family("cycle", 5)),
+]
 
 
 class TestBuildGraph:
@@ -205,6 +213,43 @@ class TestPowerExpansion:
     def test_invalid_s(self):
         with pytest.raises(ValueError):
             power_expansion(family("cycle", 5), 0)
+
+
+class TestReplicate:
+    def test_counts_clique_and_drop(self):
+        H = replicate(path_graph(3), [2, 0, 3])
+        assert H.labels == ((0, 1), (0, 2), (2, 1), (2, 2), (2, 3))
+        assert H.edges() == [(0, 1), (2, 3), (2, 4), (3, 4)]
+
+    def test_zero_copies_everywhere_is_empty(self):
+        assert replicate(family("cycle", 5), [0] * 5) == build_graph(0, [], [])
+
+    def test_bad_counts_rejected(self):
+        with pytest.raises(ValueError):
+            replicate(family("cycle", 5), [1] * 4)
+        with pytest.raises(ValueError):
+            replicate(family("cycle", 5), [1, 1, -1, 1, 1])
+
+    @pytest.mark.parametrize("G", REPLICATION_CASES, ids=["C5", "K4", "M(C5)"])
+    def test_expand_matches_oracle(self, G):
+        for r in range(G.n + 1):
+            for W in itertools.combinations(range(G.n), r):
+                copies = [2 if v in W else 1 for v in range(G.n)]
+                assert expand(G, W) == brute_replicate(G, copies)
+
+    @pytest.mark.parametrize("G", REPLICATION_CASES, ids=["C5", "K4", "M(C5)"])
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_power_expansion_matches_oracle(self, G, s):
+        assert power_expansion(G, s) == brute_replicate(G, [s] * G.n)
+
+    @given(graphs_with_edges(), st.data())
+    def test_matches_oracle_on_random_graphs(self, G, data):
+        copies = data.draw(st.lists(st.integers(0, 3), min_size=G.n, max_size=G.n))
+        assert replicate(G, copies) == brute_replicate(G, copies)
+        W = [v for v in range(G.n) if copies[v] >= 2]
+        assert expand(G, W) == brute_replicate(G, [2 if c >= 2 else 1 for c in copies])
+        s = data.draw(st.integers(1, 3))
+        assert power_expansion(G, s) == brute_replicate(G, [s] * G.n)
 
 
 class TestMycielski:
