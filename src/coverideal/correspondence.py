@@ -11,6 +11,7 @@ from .coloring import chromatic_number, is_critical, b_fold_chromatic
 from .graphs import Graph, expand, maximal_independent_sets, replicate
 from .ideals import (
     IrreducibleIdeal,
+    MonomialIdeal,
     associated_primes,
     contains_in_power,
     cover_ideal,
@@ -144,11 +145,23 @@ def persistence_check(G: Graph, s: int) -> tuple[bool, list[frozenset[int]]]:
     if s < 1:
         raise ValueError("power must be >= 1")
     J = cover_ideal(G)
-    Js = power(J, s)
-    ass_s = associated_primes(Js)
-    ass_next = set(associated_primes(multiply(Js, J)))
-    missing = [p for p in ass_s if p not in ass_next]
+    _, _, _, missing = _persistence_step(power(J, s), J)
     return not missing, missing
+
+
+def _persistence_step(Js: MonomialIdeal, J: MonomialIdeal) -> tuple[
+    MonomialIdeal, list[frozenset[int]], list[frozenset[int]], list[frozenset[int]]
+]:
+    """Compare Ass(J^s) with Ass(J^(s+1)), given J^s and J.
+
+    Returns J^(s+1) = J^s * J, both lists of associated primes, and the
+    primes of J^s that are missing from J^(s+1).
+    """
+    Jnext = multiply(Js, J)
+    ass_s = associated_primes(Js)
+    ass_next = associated_primes(Jnext)
+    kept = set(ass_next)
+    return Jnext, ass_s, ass_next, [p for p in ass_s if p not in kept]
 
 
 @dataclass(frozen=True)
@@ -174,7 +187,7 @@ def persistence_sweep(graphs, s_max: int) -> SweepReport:
     """Check persistence for s = 1..s_max over a family of graphs.
 
     Each graph's powers J, J^2, ..., J^(s_max+1) are built once, each from
-    the one before, and the associated primes of each are taken once.
+    the one before, and compared as in persistence_check.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
@@ -182,20 +195,16 @@ def persistence_sweep(graphs, s_max: int) -> SweepReport:
     graphs = list(graphs)
     for gi, G in enumerate(graphs):
         J = P = cover_ideal(G)
-        ass = [tuple(associated_primes(J))]
         for s in range(1, s_max + 1):
-            P = multiply(P, J)
-            ass.append(tuple(associated_primes(P)))
-            ass_next = set(ass[s])
-            missing = tuple(p for p in ass[s - 1] if p not in ass_next)
+            P, ass_s, ass_next, missing = _persistence_step(P, J)
             if missing:
                 findings.append(
                     PersistenceFinding(
                         graph_index=gi,
                         s=s,
-                        missing=missing,
-                        ass_s=ass[s - 1],
-                        ass_next=ass[s],
+                        missing=tuple(missing),
+                        ass_s=tuple(ass_s),
+                        ass_next=tuple(ass_next),
                     )
                 )
     return SweepReport(
