@@ -62,7 +62,7 @@ def main(argv=None) -> int:
         if args.no_verify:
             continue
         t0 = time.perf_counter()
-        records = verify_correspondence(G, s)
+        records = verify_correspondence(G, s, Js)
         bad = [r for r in records if not r.verified_critical]
         t_ver = time.perf_counter() - t0
         if bad:

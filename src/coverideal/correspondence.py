@@ -85,15 +85,23 @@ def _shadow_graph(G: Graph, component: IrreducibleIdeal, s: int) -> Graph:
     return replicate(G, copies)
 
 
-def verify_correspondence(G: Graph, s: int) -> list[ComponentCorrespondence]:
+def verify_correspondence(
+    G: Graph, s: int, Js: MonomialIdeal | None = None
+) -> list[ComponentCorrespondence]:
     """Check every component of J(G)^s against its critical-subgraph reading.
 
     For each irreducible component, the induced subgraph of the s-th
-    expansion on its shadow set must be critically (s+1)-chromatic.
+    expansion on its shadow set must be critically (s+1)-chromatic.  A
+    caller that already holds J(G)^s passes it as Js; otherwise it is
+    built from J(G).
     """
     if s < 1:
         raise ValueError("expansion order must be >= 1")
-    decomp = irreducible_decomposition(power(cover_ideal(G), s))
+    if Js is None:
+        Js = power(cover_ideal(G), s)
+    elif Js.nvars != G.n:
+        raise ValueError("the power lives in a ring of another graph")
+    decomp = irreducible_decomposition(Js)
     out = []
     for comp in decomp:
         Y = component_to_Y(comp, s)

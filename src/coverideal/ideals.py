@@ -2,6 +2,31 @@
 
 Monomials are exponent tuples indexed by vertex.  All operations are exact
 and return canonically sorted data so that equal ideals print identically.
+
+Row encoding.  Every exponent matrix that is minimalized or screened is
+first rank-compressed column by column: an exponent is replaced by its
+index among the sorted distinct values its column can take in that step
+(the given generators in ``monomial_ideal``, every pairwise sum in
+``multiply``, zero and the dual exponents along the duality chain).
+Ranks preserve every ``<=`` and ``max`` within a column, so divisibility,
+lcms with pure powers and the row-lex order read the same on ranks as on
+exponents, and the rank sum is a degree under which a proper divisor
+always has the smaller degree.  The ranks are packed into ``(N, W)``
+uint64 words.  Variable v gets a field of ``bitlen(max rank of v) + 1``
+bits; fields run from the high bits of word 0 downward in variable order
+and never straddle two words, so comparing the words in order compares
+the rows row-lex.  The top bit of each field is a guard, and the
+invariant is that every stored row has all its guard bits clear.  With
+H the words of guard bits, ``((b | H) - a) & H`` then keeps the guard of
+exactly the fields where a <= b, and no borrow crosses a field, so a
+divides b iff that equals H in every word.  W is set by the data.
+
+Exponent limit.  Exponents are read into uint64 before they are ranked,
+so every exponent a step computes must stay below 2**64: the generators
+of ``monomial_ideal``, the sums of ``multiply``, and the largest
+exponent plus one in ``irreducible_decomposition``.  Beyond that a
+``ValueError`` names the limit.  Field widths depend on how many distinct
+values a column holds, not on their size.
 """
 
 from __future__ import annotations
@@ -31,6 +56,13 @@ __all__ = [
 
 Monomial = tuple[int, ...]
 
+# Each temporary of the divisibility kernel holds at most _PAIR_BLOCK
+# candidate/kept pairs from at most _KEPT_BLOCK kept rows, and the rank
+# matrix of each block of products at most _PRODUCT_BLOCK entries.
+_PAIR_BLOCK = 1 << 18
+_KEPT_BLOCK = 1 << 12
+_PRODUCT_BLOCK = 1 << 20
+
 
 def _divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
@@ -41,57 +73,137 @@ def _max_exponent(gens) -> int:
 
 
 def _exponent_matrix(rows, nvars: int, top: int) -> np.ndarray:
-    """Rows as a matrix in the narrowest unsigned dtype that holds top.
-
-    Callers pass the largest exponent their step can reach, so no value
-    computed along the step overflows the dtype.
-    """
+    """Rows as a uint64 matrix; top is the largest value the step computes."""
     if top >= 1 << 64:
         raise ValueError(f"exponents up to {top} exceed the 64-bit limit 2**64 - 1")
-    return np.array(rows, dtype=np.min_scalar_type(top)).reshape(len(rows), nvars)
+    return np.array(rows, dtype=np.uint64).reshape(len(rows), nvars)
 
 
 def _rows(arr: np.ndarray) -> tuple[Monomial, ...]:
     return tuple(map(tuple, arr.tolist()))
 
 
-def _divisible_mask(cand: np.ndarray, kept: np.ndarray) -> np.ndarray:
+def _rank_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value table V and rank matrix R of an exponent matrix, column by column.
+
+    R holds each entry's index among the distinct values of its column and
+    V[r, v] the r-th smallest value of column v; rows of V past a column's
+    largest value repeat it, so V adds no value that M lacks.
+    """
+    cols = np.arange(M.shape[1])
+    order = np.argsort(M, axis=0)
+    S = M[order, cols]
+    new = np.ones(M.shape, dtype=bool)
+    new[1:] = S[1:] != S[:-1]
+    sorted_ranks = np.cumsum(new, axis=0) - 1
+    R = np.empty(M.shape, dtype=np.intp)
+    R[order, cols] = sorted_ranks
+    V = np.repeat(S[-1:], sorted_ranks[-1].max(initial=0) + 1, axis=0)
+    V[sorted_ranks, cols] = S
+    return V, R
+
+
+class _RowCode:
+    """Packed guarded layout of rank rows over a value table from _rank_columns."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        word, shift, mask, guard = [], [], [], [0]
+        free = 64
+        for r in (np.diff(values, axis=0) != 0).sum(axis=0).tolist():
+            b = r.bit_length() + 1
+            if b > free:
+                free = 64
+                guard.append(0)
+            free -= b
+            word.append(len(guard) - 1)
+            shift.append(free)
+            mask.append((1 << (b - 1)) - 1)
+            guard[-1] |= 1 << (free + b - 1)
+        self.words = len(guard)
+        self.word = np.array(word, dtype=np.intp)
+        self.shift = np.array(shift, dtype=np.uint64)
+        self.in_word = np.zeros((len(word), self.words), dtype=np.uint64)
+        self.in_word[np.arange(len(word)), self.word] = 1
+        self.rank_mask = np.array(mask, dtype=np.uint64)
+        self.guard = np.array(guard, dtype=np.uint64)
+
+    def pack(self, R: np.ndarray) -> np.ndarray:
+        """Pack a matrix of ranks (or of values that fit each field) into words.
+
+        Fields do not overlap, so summing a word's shifted fields packs them.
+        """
+        return (R.astype(np.uint64) << self.shift) @ self.in_word
+
+    def ranks(self, P: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """Ranks of the chosen columns of packed rows, as an intp matrix."""
+        fields = P[:, self.word[cols]] >> self.shift[cols]
+        return (fields & self.rank_mask[cols]).astype(np.intp)
+
+    def decode(self, P: np.ndarray) -> np.ndarray:
+        """Exponent matrix of packed rows."""
+        return self.values[self.ranks(P), np.arange(self.values.shape[1])]
+
+
+def _sorted_unique(P: np.ndarray, degs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct packed rows in row-lex order, with their degrees."""
+    order = np.lexsort(P.T[::-1])
+    P, degs = P[order], degs[order]
+    new = np.ones(len(P), dtype=bool)
+    new[1:] = (P[1:] != P[:-1]).any(axis=1)
+    return P[new], degs[new]
+
+
+def _divided(cand: np.ndarray, kept: np.ndarray, guard: np.ndarray) -> np.ndarray:
     """Boolean mask: which candidate rows are divisible by some kept row.
 
-    Both axes are chunked so the broadcast comparison stays within a
-    bounded temporary allocation.
+    Each word of a pair passes when ``((c | H) - k) & H == H``.  Both axes
+    are taken in blocks, so each temporary holds at most _PAIR_BLOCK
+    pairs, and a candidate leaves the scan at its first divisor.
     """
-    found = np.zeros(len(cand), dtype=bool)
-    for i in range(0, len(cand), 256):
-        blk = cand[i : i + 256]
-        hit = np.zeros(len(blk), dtype=bool)
-        for j in range(0, len(kept), 16384):
-            kb = kept[j : j + 16384]
-            hit |= (kb[None, :, :] <= blk[:, None, :]).all(axis=2).any(axis=1)
-            if hit.all():
+    hit = np.zeros(len(cand), dtype=bool)
+    high = cand | guard
+    kstep = min(len(kept), _KEPT_BLOCK)
+    step = max(1, _PAIR_BLOCK // kstep)
+    for i in range(0, len(cand), step):
+        todo = np.arange(i, min(i + step, len(cand)))
+        for j in range(0, len(kept), kstep):
+            block, ok = high[todo], None
+            for w, h in enumerate(guard):
+                t = block[:, w, None] - kept[j : j + kstep, w]
+                t &= h
+                if ok is None:
+                    ok = t == h
+                else:
+                    ok &= t == h
+            found = ok.any(axis=1)
+            hit[todo[found]] = True
+            todo = todo[~found]
+            if not len(todo):
                 break
-        found[i : i + 256] = hit
-    return found
+    return hit
 
 
-def _minimalize_array(arr: np.ndarray) -> np.ndarray:
-    """Divisibility-minimal rows of an exponent matrix, row-lex sorted.
+def _minimalize(P: np.ndarray, degs: np.ndarray, guard: np.ndarray):
+    """Divisibility-minimal packed rows, row-lex sorted, with their degrees.
 
-    Rows are processed by ascending total degree; two distinct rows of the
-    same degree never divide each other, so each degree level is screened
-    in bulk against the minimal rows of lower degree.
+    Rows are processed by ascending degree; two distinct rows of the same
+    degree never divide each other, so each degree level is screened in
+    bulk against the minimal rows of lower degree.
     """
-    arr = np.unique(arr, axis=0)
-    degs = arr.sum(axis=1, dtype=np.int64)
-    kept: np.ndarray | None = None
-    blocks: list[np.ndarray] = []
-    for d in np.unique(degs):
-        level = arr[degs == d]
-        if kept is not None and len(kept):
-            level = level[~_divisible_mask(level, kept)]
-        blocks.append(level)
-        kept = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-    return np.unique(kept, axis=0)
+    P, degs = _sorted_unique(P, degs)
+    order = np.argsort(degs, kind="stable")
+    keep = np.ones(len(P), dtype=bool)
+    kept = P[:0]
+    cuts = (np.flatnonzero(np.diff(degs[order])) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(P)]):
+        level = order[lo:hi]
+        if len(kept):
+            hit = _divided(P[level], kept, guard)
+            keep[level[hit]] = False
+            level = level[~hit]
+        kept = np.concatenate([kept, P[level]])
+    return P[keep], degs[keep]
 
 
 @dataclass(frozen=True)
@@ -114,8 +226,10 @@ def monomial_ideal(nvars: int, gens) -> MonomialIdeal:
             raise ValueError("exponents must be nonnegative")
     if not gens:
         return MonomialIdeal(nvars, ())
-    arr = _exponent_matrix(gens, nvars, _max_exponent(gens))
-    return MonomialIdeal(nvars, _rows(_minimalize_array(arr)))
+    values, R = _rank_columns(_exponent_matrix(gens, nvars, _max_exponent(gens)))
+    code = _RowCode(values)
+    P, _ = _minimalize(code.pack(R), R.sum(axis=1), code.guard)
+    return MonomialIdeal(nvars, _rows(code.decode(P)))
 
 
 def cover_ideal(G: Graph) -> MonomialIdeal:
@@ -139,17 +253,28 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     if not nvars:
         return I  # the unit ideal of the ring with no variables
     top = _max_exponent(I.gens) + _max_exponent(J.gens)
-    A = _exponent_matrix(I.gens, nvars, top)
-    B = _exponent_matrix(J.gens, nvars, top)
-    # Rows of A are taken in blocks so each broadcast sum stays bounded;
-    # with several blocks, deduplicating each keeps the stacked copy small.
-    step = max(1, (1 << 25) // (len(B) * nvars))
-    blocks = []
-    for i in range(0, len(A), step):
-        block = (A[i : i + step, None, :] + B[None, :, :]).reshape(-1, nvars)
-        blocks.append(block if step >= len(A) else np.unique(block, axis=0))
-    prods = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-    return MonomialIdeal(nvars, _rows(_minimalize_array(prods)))
+    VA, RA = _rank_columns(_exponent_matrix(I.gens, nvars, top))
+    VB, RB = _rank_columns(_exponent_matrix(J.gens, nvars, top))
+    # A product exponent is a sum of one value from each side, so ranking
+    # the few distinct sums ranks every product without forming the
+    # product matrix: VA[a, v] + VB[b, v] has rank sum_rank[a * len(VB) + b, v].
+    values, sum_rank = _rank_columns((VA[:, None, :] + VB[None, :, :]).reshape(-1, nvars))
+    code = _RowCode(values)
+    # Rows of A are taken in blocks so each block's rank matrix stays
+    # bounded; with several blocks, deduplicating each keeps the stacked
+    # copy small.
+    step = max(1, _PRODUCT_BLOCK // (len(RB) * nvars))
+    cols = np.arange(nvars)
+    blocks, block_degs = [], []
+    for i in range(0, len(RA), step):
+        R = sum_rank[RA[i : i + step, None] * len(VB) + RB, cols].reshape(-1, nvars)
+        P, degs = code.pack(R), R.sum(axis=1)
+        if step < len(RA):
+            P, degs = _sorted_unique(P, degs)
+        blocks.append(P)
+        block_degs.append(degs)
+    P, _ = _minimalize(np.concatenate(blocks), np.concatenate(block_degs), code.guard)
+    return MonomialIdeal(nvars, _rows(code.decode(P)))
 
 
 def power(I: MonomialIdeal, s: int) -> MonomialIdeal:
@@ -274,35 +399,57 @@ def clear_decomposition_cache() -> None:
     _DECOMP_CACHE.clear()
 
 
-def _intersect_irreducible_array(K: np.ndarray, sig_row: np.ndarray) -> np.ndarray:
-    """Minimal rows of K meet the irreducible ideal with exponents sig_row.
+def _meet_irreducible(K, degs, sig, packed_sig, support_guard, code: _RowCode):
+    """Minimal packed rows of K meet the irreducible ideal with rank row sig.
 
     For monomial ideals the intersection distributes over generator sums,
     and meeting one pure power x_v^e sends each row g to lcm(g, x_v^e);
-    minimalizing the union of those images over the support of sig_row
-    gives the answer.  Rows already inside the irreducible ideal are fixed
-    by the intersection and pass through untouched: every image is a
-    proper multiple of a row of K, so an image dividing a passed row would
-    make that row non-minimal in K.  Only the images of the other rows
-    need screening, so the per-step cost scales with the number of raised
-    rows, not with the size of K.
+    minimalizing the union of those images over the support of sig gives
+    the answer.  Rows already inside the irreducible ideal are fixed by
+    the intersection and pass through untouched: every image is a proper
+    multiple of a row of K, so an image dividing a passed row would make
+    that row non-minimal in K.  Only the images of the other rows need
+    screening, so the per-step cost scales with the number of raised
+    rows, not with the size of K.  A raised row is below sig on every
+    support field, so its lcm with x_v^e just writes sig's field v.
     """
-    support = np.flatnonzero(sig_row)
-    inside = (K[:, support] >= sig_row[support]).any(axis=1)
-    rest = K[~inside]
-    if not len(rest):
-        return K
-    passed = K[inside]
-    images = []
-    for v in support:
-        img = rest.copy()
-        np.maximum(img[:, v], sig_row[v], out=img[:, v])
-        images.append(img)
-    cand = _minimalize_array(np.vstack(images))
+    support = np.flatnonzero(sig)
+    # One guarded subtraction: a support field keeps its guard iff the row
+    # reaches sig's exponent there.
+    inside = (((K | code.guard) - packed_sig) & support_guard).any(axis=1)
+    if inside.all():
+        return K, degs
+    rest, rest_degs = K[~inside], degs[~inside]
+    k = np.arange(len(support))
+    words, shifts = code.word[support], code.shift[support]
+    clear = np.full((len(support), code.words), ~np.uint64(0))
+    clear[k, words] = ~(code.rank_mask[support] << shifts)
+    write = np.zeros((len(support), code.words), dtype=np.uint64)
+    write[k, words] = sig[support].astype(np.uint64) << shifts
+    images = ((rest[None] & clear[:, None]) | write[:, None]).reshape(-1, code.words)
+    raised = sig[support] - code.ranks(rest, support)
+    image_degs = (rest_degs[:, None] + raised).T.ravel()
+    cand, cand_degs = _minimalize(images, image_degs, code.guard)
+    passed, passed_degs = K[inside], degs[inside]
     if len(passed):
-        cand = cand[~_divisible_mask(cand, passed)]
-        return np.vstack([passed, cand]) if len(cand) else passed
-    return cand
+        new = ~_divided(cand, passed, code.guard)
+        cand, cand_degs = cand[new], cand_degs[new]
+    return np.concatenate([passed, cand]), np.concatenate([passed_degs, cand_degs])
+
+
+def _dual_ranks(I: MonomialIdeal) -> tuple[np.ndarray, np.ndarray, _RowCode]:
+    """Componentwise maximum a of the generators, the ranks of their dual
+    exponents (one row per generator) and the row code of the chain.
+
+    Every row along the chain is an lcm of dual pure powers, so its
+    exponents are zero or dual exponents: one code serves the whole chain,
+    and rows are encoded once and decoded once.
+    """
+    M = _exponent_matrix(I.gens, I.nvars, _max_exponent(I.gens) + 1)
+    amax = M.max(axis=0)
+    sigmas = np.where(M > 0, amax + 1 - M, np.uint64(0))
+    values, R = _rank_columns(np.vstack([sigmas, np.zeros((1, I.nvars), dtype=np.uint64)]))
+    return amax, R[:-1], _RowCode(values)
 
 
 def _decompose_by_duality(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
@@ -313,23 +460,18 @@ def _decompose_by_duality(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
     a_v + 1 - m_v on the support of m; the components of I are read off
     the minimal generators of the intersection of those ideals by the
     same exponent flip.  The intersection is built one generator at a
-    time, keeping intermediate generator sets minimal.
+    time from the unit ideal, keeping intermediate generator sets minimal.
     """
-    nvars = I.nvars
-    # Every dual exponent is at most max(a) + 1, and the chain only takes
-    # lcms of those values, so one matrix dtype serves the whole chain and
-    # no row is re-encoded between steps.
-    M = _exponent_matrix(I.gens, nvars, _max_exponent(I.gens) + 1)
-    amax = M.max(axis=0)
-    sigmas = amax + 1 - M
-    sigmas[M == 0] = 0
-    K = np.diag(sigmas[0])[sigmas[0] > 0]
-    for sig_row in sigmas[1:]:
-        K = _intersect_irreducible_array(K, sig_row)
+    amax, R, code = _dual_ranks(I)
+    K = np.zeros((1, code.words), dtype=np.uint64)
+    degs = np.zeros(1, dtype=np.intp)
+    packed, guards = code.pack(R), code.pack((R > 0) * (code.rank_mask + 1))
+    for sig, packed_sig, support_guard in zip(R, packed, guards):
+        K, degs = _meet_irreducible(K, degs, sig, packed_sig, support_guard, code)
     top = [a + 1 for a in amax.tolist()]
     comps = [
-        IrreducibleIdeal(nvars, tuple((v, top[v] - e) for v, e in enumerate(c) if e))
-        for c in K.tolist()
+        IrreducibleIdeal(I.nvars, tuple((v, top[v] - e) for v, e in enumerate(c) if e))
+        for c in code.decode(K).tolist()
     ]
     return tuple(sorted(comps, key=IrreducibleIdeal.sort_key))
 

@@ -280,3 +280,27 @@ def splitting_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
         memo[gens] = _prune(memo[branches[0]] + memo[branches[1]])
         stack.pop()
     return memo[I.gens]
+
+
+# ---------------------------------------------------------------------------
+# closed forms past brute-force size
+
+
+def perfect_graph_components(G: Graph, s: int) -> set[IrreducibleIdeal]:
+    """Irreducible components of J(G)^s for a perfect graph G.
+
+    By Francisco–Hà–Van Tuyl the associated primes of J(G)^s of a perfect
+    graph are its cliques on 2..s+1 vertices, and the components on a
+    clique W are the exponent vectors a in [1, s]^W with
+    sum(s + 1 - a_v) = s + 1, read off the critically (s+1)-chromatic
+    replications of a clique.
+    """
+    comps = set()
+    for r in range(2, s + 2):
+        for clique in combinations(range(G.n), r):
+            if not all(v in G.adj[u] for u, v in combinations(clique, 2)):
+                continue
+            for exps in product(range(1, s + 1), repeat=r):
+                if sum(s + 1 - a for a in exps) == s + 1:
+                    comps.add(IrreducibleIdeal(G.n, tuple(zip(clique, exps))))
+    return comps

@@ -120,6 +120,15 @@ class TestVerifyCorrespondence:
         assert (H.n, H.m) == (5, 5)
         assert full[0].chi == 3
 
+    def test_held_power_is_not_rebuilt(self, monkeypatch):
+        G = family("cycle", 5)
+        J2 = power(cover_ideal(G), 2)
+        expected = verify_correspondence(G, 2)
+        monkeypatch.setattr(correspondence, "power", lambda *a: pytest.fail("power rebuilt"))
+        assert verify_correspondence(G, 2, J2) == expected
+        with pytest.raises(ValueError, match="another graph"):
+            verify_correspondence(G, 2, power(cover_ideal(family("cycle", 7)), 2))
+
     def test_K3_s2_both_directions(self):
         G = family("complete", 3)
         assert all(r.verified_critical for r in verify_correspondence(G, 2))

@@ -10,9 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import graphs_with_edges, monomial_ideals
+from coverideal import ideals
 from coverideal.graphs import build_graph, family, kneser_graph
 from coverideal.ideals import (
     IrreducibleIdeal,
+    _dual_ranks,
     associated_primes,
     b_fold_via_membership,
     clear_decomposition_cache,
@@ -32,6 +34,7 @@ from oracles import (
     brute_power_gens,
     brute_product_gens,
     monomial_box,
+    perfect_graph_components,
     splitting_decomposition,
 )
 
@@ -341,6 +344,30 @@ class TestDecompositionEngines:
         with pytest.raises(ValueError, match="64-bit"):
             irreducible_decomposition(monomial_ideal(1, [(2**64 - 1,)]))
 
+    @pytest.mark.parametrize(
+        "nvars, gens",
+        [(2, [(2**62, 2**62), (1, 1)]), (1, [(2**63 + 5,), (3,)])],
+        ids=["sum_2_63", "single_past_2_63"],
+    )
+    def test_degree_sums_past_63_bits_minimalize(self, nvars, gens):
+        # A degree sum of 2**63 or more wraps in int64 and misorders the
+        # screening levels; degrees are rank sums, which cannot wrap.
+        assert monomial_ideal(nvars, gens).gens == brute_minimalize(gens)
+
+    def test_degree_sums_past_63_bits_decompose(self):
+        B = 2**61
+        gens = [
+            (1, 2 * B, 0, 0, 0, 7 * B, 5 * B),
+            (3 * B, 6 * B, 0, 4 * B, B + 1, B, 6 * B),
+            (6 * B, 1, B + 1, 1, 4 * B, 4 * B, 4 * B),
+            (7 * B, 3 * B, B, 1, 4 * B, 0, 3 * B),
+        ]
+        I = monomial_ideal(7, gens)
+        assert I.gens == brute_minimalize(gens)
+        comps = irreducible_decomposition(I).components
+        assert comps == splitting_decomposition(I)
+        assert len(comps) == 38
+
     def test_batched_minimalize_matches_scalar(self):
         import random
 
@@ -366,3 +393,80 @@ class TestDecompositionEngines:
         expected = {tuple(a + b for a, b in zip(g, h)) for g in comps for h in comps}
         # Same total degree everywhere: every distinct sum is a minimal generator.
         assert prod.gens == tuple(sorted(expected))
+
+
+class TestPackedKernel:
+    """Block boundaries and multi-word rows of the packed row kernel."""
+
+    def test_multi_word_rows_sort_row_lex(self):
+        import random
+
+        # 30 variables with 3-bit fields take two words, so word order
+        # decides the row-lex order of the generators.
+        rng = random.Random(20261018)
+        rows = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(30)) for _ in range(300)]
+        rows = [r for r in rows if sum(r)]
+        values, _ = ideals._rank_columns(ideals._exponent_matrix(rows, 30, 3))
+        assert ideals._RowCode(values).words == 2
+        assert monomial_ideal(30, rows).gens == brute_minimalize(rows)
+
+    @pytest.mark.parametrize("pair, kept, product", [(1, 1, 1), (5, 2, 7)])
+    def test_small_blocks_match_oracles(self, monkeypatch, pair, kept, product):
+        import random
+
+        # Tiny blocks send every candidate through several kept blocks and
+        # every product through several blocks of A's rows.
+        monkeypatch.setattr(ideals, "_PAIR_BLOCK", pair)
+        monkeypatch.setattr(ideals, "_KEPT_BLOCK", kept)
+        monkeypatch.setattr(ideals, "_PRODUCT_BLOCK", product)
+        clear_decomposition_cache()
+        rng = random.Random(pair * 100 + kept)
+        for _ in range(20):
+            rows = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(12)]
+            rows = [r for r in rows if sum(r)]
+            I = monomial_ideal(4, rows)
+            assert I.gens == brute_minimalize(rows)
+            J = monomial_ideal(4, rows[:4])
+            assert multiply(I, J).gens == brute_product_gens(I.gens, J.gens)
+            assert irreducible_decomposition(I).components == splitting_decomposition(I)
+        clear_decomposition_cache()
+
+
+def _complete_multipartite(*parts):
+    """Complete multipartite graph; vertices numbered part by part."""
+    starts = [sum(parts[:i]) for i in range(len(parts))]
+    blocks = [range(a, a + p) for a, p in zip(starts, parts)]
+    edges = [(u, v) for i, A in enumerate(blocks) for B in blocks[i + 1 :] for u in A for v in B]
+    return build_graph(sum(parts), edges)
+
+
+class TestClosedFormPerfectGraphs:
+    """The engine against the perfect-graph closed form past brute-force size.
+
+    The graphs are chosen so the chain's packed rows take one word (K_21
+    fills 63 of its 64 bits), spill one field into a second word
+    (K_{11,11}) and take three words (K_{15,15,15}).
+    """
+
+    @pytest.mark.parametrize(
+        "G, s, words, count",
+        [
+            (family("complete", 20), 2, 1, 1520),
+            (family("complete", 21), 2, 1, 1750),
+            (_complete_multipartite(11, 11), 2, 2, 242),
+            (family("complete", 17), 3, 1, 4828),
+            (_complete_multipartite(20, 20), 3, 2, 1200),
+            (_complete_multipartite(15, 15, 15), 2, 3, 4725),
+        ],
+        ids=["K20_s2", "K21_s2", "K11_11_s2", "K17_s3", "K20_20_s3", "K15_15_15_s2"],
+    )
+    def test_components_match_closed_form(self, G, s, words, count):
+        I = power(cover_ideal(G), s)
+        assert _dual_ranks(I)[2].words == words
+        comps = irreducible_decomposition(I).components
+        expected = perfect_graph_components(G, s)
+        assert len(comps) == count
+        assert set(comps) == expected
+        assert associated_primes(I) == sorted(
+            {frozenset(c.support) for c in expected}, key=sorted
+        )
