@@ -2,9 +2,29 @@
 
 Graphs on n vertices are generated by extending every (n-1)-vertex
 representative with a new vertex attached to each possible neighborhood,
-then deduplicating with an invariant bucket plus exact isomorphism tests.
+in ``combinations`` order, and the first candidate of each class is kept.
+
+Two things keep that cheap without changing what is kept:
+
+- Orbit pruning.  Aut(parent) is enumerated once per parent.  For each
+  neighborhood size, only the first member of each orbit of the optional
+  neighbors under Aut(parent) is extended; automorphisms preserve degree,
+  so they fix the set of low-degree vertices every neighborhood must
+  cover.  A skipped neighborhood is the image of an earlier one from the
+  same parent, so its graph is isomorphic to an earlier candidate: it
+  could never have been the first of its class, and the first-kept
+  representatives and their order are exactly those of the unpruned
+  extension.
+- One certificate per graph (``graphs.first_of_each_class``): degree
+  refinement is run once per candidate, and its hashed round-by-round
+  trace is the bucket key.  A candidate is matched only against the
+  representatives in its bucket, by bitmask backtracking within color
+  cells; the same matcher enumerates Aut(parent).
+
 Expected class counts (1, 2, 4, 11, 34, 156, 1044 for n = 1..7) are frozen
-into the test suite.
+into the test suite, and ``tests/oracles.py`` keeps the pairwise route
+(every extension, an invariant bucket and a joint isomorphism test per
+pair) as the cross-check of the representatives.
 """
 
 from __future__ import annotations
@@ -13,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .coloring import chromatic_number, is_critical
-from .graphs import Graph, build_graph, is_connected, is_isomorphic
+from .graphs import Graph, automorphisms, build_graph, first_of_each_class, is_connected
 
 __all__ = [
     "all_graphs",
@@ -21,29 +41,6 @@ __all__ = [
     "graphs_with_min_degree",
     "critical_graphs",
 ]
-
-
-def _invariant(G: Graph):
-    """Cheap isomorphism-invariant bucket key."""
-    degrees = tuple(len(G.adj[v]) for v in range(G.n))
-    neighbor_degrees = tuple(
-        sorted(tuple(sorted(degrees[u] for u in G.adj[v])) for v in range(G.n))
-    )
-    triangles = sum(len(G.adj[u] & G.adj[v]) for u, v in G.edges()) // 3
-    return (G.n, G.m, tuple(sorted(degrees)), neighbor_degrees, triangles)
-
-
-def _dedupe(candidates) -> list[Graph]:
-    """Keep the first representative of each isomorphism class, in order."""
-    buckets: dict[object, list[Graph]] = {}
-    reps: list[Graph] = []
-    for G in candidates:
-        key = _invariant(G)
-        bucket = buckets.setdefault(key, [])
-        if not any(is_isomorphic(G, H) for H in bucket):
-            bucket.append(G)
-            reps.append(G)
-    return reps
 
 
 def all_graphs(n: int) -> tuple[Graph, ...]:
@@ -82,12 +79,17 @@ def graphs_with_min_degree(n: int, dmin: int) -> tuple[Graph, ...]:
             optional = [v for v in range(parent.n) if v not in deficient]
             need = max(dmin - len(deficient), 0)
             base_edges = parent.edges()
+            auts = automorphisms(parent)
             for size in range(need, len(optional) + 1):
+                seen: set[tuple[int, ...]] = set()
                 for extra in combinations(optional, size):
+                    if extra in seen:
+                        continue
+                    seen.update(tuple(sorted(p[v] for v in extra)) for p in auts)
                     S = sorted(deficient | set(extra))
                     yield build_graph(n, base_edges + [(u, n - 1) for u in S])
 
-    return tuple(_dedupe(candidates()))
+    return tuple(first_of_each_class(candidates()))
 
 
 @lru_cache(maxsize=None)

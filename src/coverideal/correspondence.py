@@ -119,17 +119,24 @@ def verify_correspondence(
     return out
 
 
-def converse_correspondence(G: Graph, s: int) -> list[IrreducibleIdeal]:
+def converse_correspondence(
+    G: Graph, s: int, Js: MonomialIdeal | None = None
+) -> list[IrreducibleIdeal]:
     """Critical canonical shadow sets whose component is absent from J(G)^s.
 
     Enumerates every candidate exponent vector (support with exponents in
     1..s), keeps those whose shadow set induces a critically (s+1)-chromatic
     subgraph of the s-th expansion, and returns the ones missing from the
-    decomposition.  An empty list is the expected outcome.
+    decomposition.  An empty list is the expected outcome.  A caller that
+    already holds J(G)^s passes it as Js; otherwise it is built from J(G).
     """
     if s < 1:
         raise ValueError("expansion order must be >= 1")
-    decomp = set(irreducible_decomposition(power(cover_ideal(G), s)))
+    if Js is None:
+        Js = power(cover_ideal(G), s)
+    elif Js.nvars != G.n:
+        raise ValueError("the power lives in a ring of another graph")
+    decomp = set(irreducible_decomposition(Js))
     missing = []
     for r in range(1, G.n + 1):
         for support in combinations(range(G.n), r):

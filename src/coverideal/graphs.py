@@ -1,4 +1,5 @@
-"""Simple graphs, shadow expansions, and cover/independent-set enumeration.
+"""Simple graphs, shadow expansions, cover/independent-set enumeration, and
+isomorphism (tests, automorphism groups, first-kept class representatives).
 
 Vertices are 0-based contiguous integers 0..n-1.  Classical 1-based
 variable notation x_i corresponds to vertex index i - 1 throughout.
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations, product
+from typing import NamedTuple
 
 __all__ = [
     "Graph",
@@ -26,6 +28,8 @@ __all__ = [
     "minimal_vertex_covers",
     "is_connected",
     "is_isomorphic",
+    "automorphisms",
+    "first_of_each_class",
 ]
 
 Label = tuple[int, int]
@@ -258,78 +262,120 @@ def is_connected(G: Graph) -> bool:
     return len(seen) == G.n
 
 
-def _refine_colors(G: Graph, H: Graph):
-    """Joint degree-refinement colors for both graphs, or None on mismatch."""
-    cols = [[G.degree(v) for v in range(G.n)], [H.degree(v) for v in range(H.n)]]
-    graphs = (G, H)
-    for _ in range(max(G.n, 1)):
-        sigs = [
-            [
-                (cols[gi][v], tuple(sorted(cols[gi][u] for u in graphs[gi].adj[v])))
-                for v in range(graphs[gi].n)
-            ]
-            for gi in range(2)
-        ]
-        if sorted(sigs[0]) != sorted(sigs[1]):
-            return None
-        renumber = {s: i for i, s in enumerate(sorted(set(sigs[0])))}
-        new = [[renumber[s] for s in sigs[gi]] for gi in range(2)]
-        if new == cols:
+class _Certificate(NamedTuple):
+    """What an isomorphism test needs to know of one graph.
+
+    ``key`` is equal for isomorphic graphs; ``colors`` are the stable
+    refinement colors and ``masks[v]`` is the neighborhood of v as a bitmask.
+    """
+
+    key: int
+    colors: tuple[int, ...]
+    masks: tuple[int, ...]
+
+
+def _certificate(G: Graph) -> _Certificate:
+    """Degree refinement of G alone, with its trace hashed into a key.
+
+    Colors start as degrees.  Each round gives every vertex the signature
+    (color, sorted neighbor colors) and renumbers the signatures in sorted
+    order, until a round splits no cell.  Isomorphic graphs produce the
+    same sorted signatures round by round, so the whole trace goes into the
+    key, and for graphs with equal traces the independent renumberings agree
+    with a joint one.  The key is a hash: a collision only costs a failed
+    match, because the matcher decides.
+    """
+    cols = [len(nbrs) for nbrs in G.adj]
+    cells = len(set(cols))
+    trace = []
+    while True:
+        sigs = [(c, tuple(sorted([cols[u] for u in nbrs]))) for c, nbrs in zip(cols, G.adj)]
+        ordered = sorted(sigs)
+        trace.append(tuple(ordered))
+        renumber = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
+        cols = [renumber[s] for s in sigs]
+        if len(renumber) == cells:
             break
-        cols = new
-    return cols
+        cells = len(renumber)
+    masks = tuple(sum(1 << u for u in nbrs) for nbrs in G.adj)
+    return _Certificate(hash((G.n, tuple(trace))), tuple(cols), masks)
+
+
+def _isomorphisms(a: _Certificate, b: _Certificate):
+    """Yield every color-preserving isomorphism from a's graph onto b's.
+
+    Each is a tuple p mapping vertex v of a to p[v] of b.  Vertices of a
+    are placed smallest color cell first, then by most neighbors already
+    placed; a vertex may go to any unused vertex of b in its color cell
+    whose adjacency to the placed images matches, checked as one bitmask
+    comparison.
+    """
+    n = len(a.colors)
+    if len(b.colors) != n or sorted(a.colors) != sorted(b.colors):
+        return
+    cells: dict[int, list[int]] = {}
+    for v, c in enumerate(b.colors):
+        cells.setdefault(c, []).append(v)
+    cand = [cells[c] for c in a.colors]
+    order: list[int] = []
+    placed = 0
+    rest = list(range(n))
+    while rest:
+        g = min(rest, key=lambda u: (len(cand[u]), -(a.masks[u] & placed).bit_count()))
+        rest.remove(g)
+        order.append(g)
+        placed |= 1 << g
+    earlier_nbrs = [
+        [j for j in range(i) if a.masks[order[i]] >> order[j] & 1] for i in range(n)
+    ]
+    img = [0] * n
+
+    def extend(i: int, used: int):
+        if i == n:
+            perm = [0] * n
+            for g, h in zip(order, img):
+                perm[g] = h
+            yield tuple(perm)
+            return
+        need = 0
+        for j in earlier_nbrs[i]:
+            need |= 1 << img[j]
+        for h in cand[order[i]]:
+            if not used >> h & 1 and b.masks[h] & used == need:
+                img[i] = h
+                yield from extend(i + 1, used | 1 << h)
+
+    yield from extend(0, 0)
 
 
 def is_isomorphic(G: Graph, H: Graph) -> bool:
-    """Exact isomorphism test (labels ignored) by refinement-pruned backtracking."""
-    if G.n != H.n or G.m != H.m:
-        return False
-    if G.n == 0:
-        return True
-    cols = _refine_colors(G, H)
-    if cols is None:
-        return False
-    col_g, col_h = cols
-    if sorted(col_g) != sorted(col_h):
-        return False
-    by_color: dict[int, list[int]] = {}
-    for v in range(H.n):
-        by_color.setdefault(col_h[v], []).append(v)
+    """Exact isomorphism test (labels ignored): equal keys and a matching."""
+    a, b = _certificate(G), _certificate(H)
+    return a.key == b.key and next(_isomorphisms(a, b), None) is not None
 
-    # Order G's vertices so each one touches as many placed vertices as possible.
-    order: list[int] = []
-    placed = set()
-    for _ in range(G.n):
-        v = max(
-            (u for u in range(G.n) if u not in placed),
-            key=lambda u: (len(G.adj[u] & placed), G.degree(u), -u),
-        )
-        order.append(v)
-        placed.add(v)
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
+def automorphisms(G: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of G once, each as a tuple p mapping v to p[v].
 
-    def backtrack(pos: int) -> bool:
-        if pos == G.n:
-            return True
-        g = order[pos]
-        for h in by_color.get(col_g[g], ()):
-            if h in used:
-                continue
-            ok = True
-            for g2, h2 in mapping.items():
-                if (g2 in G.adj[g]) != (h2 in H.adj[h]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[g] = h
-            used.add(h)
-            if backtrack(pos + 1):
-                return True
-            del mapping[g]
-            used.remove(h)
-        return False
+    The whole group is listed (n! elements for K_n), so this is meant for
+    small graphs such as the census parents, which have at most 7 vertices.
+    """
+    c = _certificate(G)
+    return list(_isomorphisms(c, c))
 
-    return backtrack(0)
+
+def first_of_each_class(graphs) -> list[Graph]:
+    """Keep the first graph of each isomorphism class, in order.
+
+    A graph's certificate key picks its bucket, and the graph is matched
+    only against the kept graphs there; only their certificates are held.
+    """
+    buckets: dict[int, list[_Certificate]] = {}
+    reps: list[Graph] = []
+    for G in graphs:
+        cert = _certificate(G)
+        bucket = buckets.setdefault(cert.key, [])
+        if not any(next(_isomorphisms(cert, c), None) is not None for c in bucket):
+            bucket.append(cert)
+            reps.append(G)
+    return reps

@@ -1,7 +1,10 @@
 """Independent brute-force reference implementations used to freeze expected
 values.  Everything here is deliberately naive and shares no algorithmic
 machinery with the package: plain backtracking, full subset enumeration,
-permutation search, and decomposition by recursive generator splitting."""
+permutation search, and decomposition by recursive generator splitting.
+The pairwise census route (an invariant bucket and a jointly refined
+isomorphism test per pair) is the package's former deduplication, kept as
+the cross-check of the certificate route."""
 
 from __future__ import annotations
 
@@ -150,6 +153,135 @@ def brute_replicate(G: Graph, copies) -> Graph:
         if labels[i][0] == labels[j][0] or labels[j][0] in G.adj[labels[i][0]]
     ]
     return build_graph(len(labels), edges, labels)
+
+
+def brute_automorphism_count(G: Graph) -> int:
+    """Number of vertex permutations preserving the edge set; only for small n."""
+    edges = set(map(frozenset, G.edges()))
+    return sum(
+        all(frozenset((perm[u], perm[v])) in edges for u, v in G.edges())
+        for perm in permutations(range(G.n))
+    )
+
+
+# ---------------------------------------------------------------------------
+# the census as the pairwise route builds it: every extension, an invariant
+# bucket, and a joint-refinement isomorphism test against each bucket member
+
+
+def unpruned_extensions(parents, n: int, dmin: int):
+    """Every extension of each parent by a vertex n - 1, in census order."""
+    for parent in parents:
+        deficient = frozenset(
+            v for v in range(parent.n) if len(parent.adj[v]) < dmin
+        )
+        optional = [v for v in range(parent.n) if v not in deficient]
+        need = max(dmin - len(deficient), 0)
+        base_edges = parent.edges()
+        for size in range(need, len(optional) + 1):
+            for extra in combinations(optional, size):
+                S = sorted(deficient | set(extra))
+                yield build_graph(n, base_edges + [(u, n - 1) for u in S])
+
+
+def bucket_invariant(G: Graph):
+    """Cheap isomorphism-invariant bucket key."""
+    degrees = tuple(len(G.adj[v]) for v in range(G.n))
+    neighbor_degrees = tuple(
+        sorted(tuple(sorted(degrees[u] for u in G.adj[v])) for v in range(G.n))
+    )
+    triangles = sum(len(G.adj[u] & G.adj[v]) for u, v in G.edges()) // 3
+    return (G.n, G.m, tuple(sorted(degrees)), neighbor_degrees, triangles)
+
+
+def joint_refine_colors(G: Graph, H: Graph):
+    """Joint degree-refinement colors for both graphs, or None on mismatch."""
+    cols = [[G.degree(v) for v in range(G.n)], [H.degree(v) for v in range(H.n)]]
+    graphs = (G, H)
+    for _ in range(max(G.n, 1)):
+        sigs = [
+            [
+                (cols[gi][v], tuple(sorted(cols[gi][u] for u in graphs[gi].adj[v])))
+                for v in range(graphs[gi].n)
+            ]
+            for gi in range(2)
+        ]
+        if sorted(sigs[0]) != sorted(sigs[1]):
+            return None
+        renumber = {s: i for i, s in enumerate(sorted(set(sigs[0])))}
+        new = [[renumber[s] for s in sigs[gi]] for gi in range(2)]
+        if new == cols:
+            break
+        cols = new
+    return cols
+
+
+def pairwise_is_isomorphic(G: Graph, H: Graph) -> bool:
+    """Exact isomorphism test by jointly refined, pruned backtracking."""
+    if G.n != H.n or G.m != H.m:
+        return False
+    if G.n == 0:
+        return True
+    cols = joint_refine_colors(G, H)
+    if cols is None:
+        return False
+    col_g, col_h = cols
+    if sorted(col_g) != sorted(col_h):
+        return False
+    by_color: dict[int, list[int]] = {}
+    for v in range(H.n):
+        by_color.setdefault(col_h[v], []).append(v)
+
+    # Order G's vertices so each one touches as many placed vertices as possible.
+    order: list[int] = []
+    placed = set()
+    for _ in range(G.n):
+        v = max(
+            (u for u in range(G.n) if u not in placed),
+            key=lambda u: (len(G.adj[u] & placed), G.degree(u), -u),
+        )
+        order.append(v)
+        placed.add(v)
+
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def backtrack(pos: int) -> bool:
+        if pos == G.n:
+            return True
+        g = order[pos]
+        for h in by_color.get(col_g[g], ()):
+            if h in used:
+                continue
+            ok = True
+            for g2, h2 in mapping.items():
+                if (g2 in G.adj[g]) != (h2 in H.adj[h]):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[g] = h
+            used.add(h)
+            if backtrack(pos + 1):
+                return True
+            del mapping[g]
+            used.remove(h)
+        return False
+
+    return backtrack(0)
+
+
+def pairwise_dedupe(candidates) -> list[Graph]:
+    """Keep the first representative of each isomorphism class, in order."""
+    buckets: dict[object, list[Graph]] = {}
+    reps: list[Graph] = []
+    for G in candidates:
+        key = bucket_invariant(G)
+        bucket = buckets.setdefault(key, [])
+        if not any(pairwise_is_isomorphic(G, H) for H in bucket):
+            bucket.append(G)
+            reps.append(G)
+    return reps
 
 
 # ---------------------------------------------------------------------------

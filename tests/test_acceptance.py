@@ -161,9 +161,10 @@ def test_criterion_5_component_dictionary_both_directions():
         for s in (1, 2)
     ]
     for name, G, s in cases:
-        records = verify_correspondence(G, s)
+        Js = power(cover_ideal(G), s)
+        records = verify_correspondence(G, s, Js)
         assert all(r.verified_critical for r in records), (name, s)
-        assert converse_correspondence(G, s) == [], (name, s)
+        assert converse_correspondence(G, s, Js) == [], (name, s)
     elapsed = time.perf_counter() - start
     assert elapsed < 600
     print(

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import networkx as nx
 import pytest
 
+import coverideal
 from coverideal import cli
 from coverideal.cli import CLIError, main, parse_edge_list, parse_graph6
 from coverideal.graphs import build_graph, family
@@ -365,11 +367,18 @@ class TestInternalErrors:
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
+        # The child must import the package this suite imported, installed or not.
+        package_root = os.path.dirname(os.path.dirname(coverideal.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "coverideal", "invariants", "--builtin", "cycle:9", "--json"],
             capture_output=True,
             text=True,
             timeout=120,
+            env=env,
         )
         assert proc.returncode == 0
         report = json.loads(proc.stdout)

@@ -5,10 +5,12 @@ reproduced with the brute-force isomorphism oracle before freezing here.
 Criticality censuses were cross-checked with oracle chromatic numbers.
 """
 
+import hashlib
+import os
+
 import pytest
 
 from coverideal.corpus import (
-    _dedupe,
     all_graphs,
     connected_graphs,
     critical_graphs,
@@ -21,7 +23,9 @@ from coverideal.graphs import (
     is_connected,
     is_isomorphic,
 )
-from oracles import brute_chromatic
+from oracles import brute_chromatic, pairwise_dedupe, unpruned_extensions
+
+EXTENDED = os.environ.get("COVERIDEAL_EXTENDED") == "1"
 
 
 class TestAllGraphs:
@@ -38,7 +42,7 @@ class TestAllGraphs:
     def test_representatives_pairwise_distinct_small(self):
         for n in range(1, 6):
             reps = all_graphs(n)
-            assert len(_dedupe(reps)) == len(reps)
+            assert len(pairwise_dedupe(reps)) == len(reps)
 
 
 class TestConnectedGraphs:
@@ -67,7 +71,7 @@ class TestMinDegreeCorpus:
             if min(len(G.adj[v]) for v in range(G.n)) >= dmin
         ]
         assert len(direct) == count
-        assert len(_dedupe(reps)) == count
+        assert len(pairwise_dedupe(reps)) == count
 
     def test_zero_min_degree_is_everything(self):
         assert graphs_with_min_degree(4, 0) == all_graphs(4)
@@ -79,6 +83,55 @@ class TestMinDegreeCorpus:
         reps = graphs_with_min_degree(5, 4)
         assert len(reps) == 1
         assert is_isomorphic(reps[0], family("complete", 5))
+
+
+def _pairwise_census(n, dmin):
+    """The census level as the pairwise route builds it from the same parents."""
+    parents = graphs_with_min_degree(n - 1, max(dmin - 1, 0))
+    return pairwise_dedupe(unpruned_extensions(parents, n, dmin))
+
+
+def _edge_lists(reps):
+    return [(G.n, G.edges()) for G in reps]
+
+
+class TestCensusAgainstPairwiseRoute:
+    """Orbit pruning and certificates keep the pairwise route's first-kept
+    representatives, in the same order and with the same labelling."""
+
+    @pytest.mark.parametrize(
+        "n,dmin", [(n, 0) for n in range(2, 8)] + [(6, 1), (7, 2)]
+    )
+    def test_same_representatives_in_order(self, n, dmin):
+        assert _edge_lists(graphs_with_min_degree(n, dmin)) == _edge_lists(
+            _pairwise_census(n, dmin)
+        )
+
+    @pytest.mark.skipif(
+        not EXTENDED, reason="set COVERIDEAL_EXTENDED=1 to run the 8-vertex level"
+    )
+    def test_eight_vertices_min_degree_three(self):
+        assert _edge_lists(graphs_with_min_degree(8, 3)) == _edge_lists(
+            _pairwise_census(8, 3)
+        )
+
+
+class TestFrozenCensus:
+    """SHA-256 digests of the edge lists as the pairwise census produced them."""
+
+    def test_eight_vertices_min_degree_three(self):
+        text = repr(_edge_lists(graphs_with_min_degree(8, 3)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "afddf75b50d480514d67f2a9abc922f5a9d79108a9020fd703d5baf28e98322e"
+        )
+
+    def test_critical_census(self):
+        census = [
+            (G.n, G.edges(), chi) for n in range(1, 9) for G, chi in critical_graphs(n)
+        ]
+        assert hashlib.sha256(repr(census).encode()).hexdigest() == (
+            "e787a5e386e2f324bd5100580a5cd123b5229cab72792e7f88612b70d49d649c"
+        )
 
 
 def _chi_histogram(census):

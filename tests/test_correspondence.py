@@ -131,8 +131,9 @@ class TestVerifyCorrespondence:
 
     def test_K3_s2_both_directions(self):
         G = family("complete", 3)
-        assert all(r.verified_critical for r in verify_correspondence(G, 2))
-        assert converse_correspondence(G, 2) == []
+        J2 = power(cover_ideal(G), 2)
+        assert all(r.verified_critical for r in verify_correspondence(G, 2, J2))
+        assert converse_correspondence(G, 2, J2) == []
 
     @pytest.mark.parametrize(
         "G,s",
@@ -146,6 +147,30 @@ class TestVerifyCorrespondence:
     )
     def test_converse_finds_nothing_missing(self, G, s):
         assert converse_correspondence(G, s) == []
+
+
+class TestConverseCorrespondence:
+    def test_held_power_is_not_rebuilt(self, monkeypatch):
+        G = family("cycle", 7)
+        calls = []
+        build = correspondence.power
+
+        def counting_power(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(correspondence, "power", counting_power)
+        J2 = correspondence.power(cover_ideal(G), 2)
+        assert all(r.verified_critical for r in verify_correspondence(G, 2, J2))
+        assert converse_correspondence(G, 2, J2) == []
+        assert len(calls) == 1
+        assert converse_correspondence(G, 2) == []
+        assert len(calls) == 2
+
+    def test_power_of_another_graph_is_rejected(self):
+        J2 = power(cover_ideal(family("cycle", 5)), 2)
+        with pytest.raises(ValueError, match="another graph"):
+            converse_correspondence(family("cycle", 7), 2, J2)
 
 
 class TestPersistence:

@@ -5,6 +5,7 @@ before the implementation was written.
 """
 
 import itertools
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 
 from conftest import graphs, graphs_with_edges
 from coverideal.graphs import (
+    automorphisms,
     build_graph,
     complement,
     delete_vertex,
     expand,
     family,
+    first_of_each_class,
     induced_subgraph,
     is_connected,
     is_isomorphic,
@@ -29,6 +32,7 @@ from coverideal.graphs import (
     replicate,
 )
 from oracles import (
+    brute_automorphism_count,
     brute_is_isomorphic,
     brute_maximal_independent_sets,
     brute_minimal_vertex_covers,
@@ -344,10 +348,28 @@ class TestIsomorphism:
         assert is_isomorphic(mycielski(build_graph(2, [(0, 1)])), family("cycle", 5))
 
     def test_same_degree_sequence_non_isomorphic(self):
-        # C6 and two triangles: both 2-regular on 6 vertices.
+        # C6 and two triangles: both 2-regular on 6 vertices, so refinement
+        # leaves one cell.
         C6 = family("cycle", 6)
         KK = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert not is_isomorphic(C6, KK)
+
+    def test_cube_vs_K44_minus_perfect_matching(self):
+        # Both 3-regular on 8 vertices, so refinement leaves one cell.
+        K44_minus = build_graph(8, [(i, 4 + j) for i in range(4) for j in range(4) if i != j])
+        assert is_isomorphic(_cube(), K44_minus)
+
+    def test_cube_vs_wagner_graph(self):
+        # Both 3-regular on 8 vertices; the cube is bipartite, the Wagner
+        # graph has 5-cycles.
+        assert not is_isomorphic(_cube(), _wagner())
+
+    def test_first_of_each_class_keeps_first_in_order(self):
+        C5, P5 = family("cycle", 5), path_graph(5)
+        P5_relabeled = build_graph(5, [(4, 3), (3, 0), (0, 2), (2, 1)])
+        kept = first_of_each_class([C5, P5, family("antihole", 5), P5_relabeled])
+        assert len(kept) == 2
+        assert kept[0] is C5 and kept[1] is P5
 
     @given(graphs(max_n=5), graphs(max_n=5))
     def test_matches_brute_force(self, G, H):
@@ -359,6 +381,55 @@ class TestIsomorphism:
         rng.shuffle(perm)
         H = build_graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
         assert is_isomorphic(G, H)
+
+
+def _cube():
+    """The 3-cube Q3: 3-bit words adjacent when they differ in one bit."""
+    return build_graph(8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)])
+
+
+def _wagner():
+    """The Wagner graph: an 8-cycle plus its four long diagonals."""
+    return build_graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+
+
+def _is_automorphism(G, p):
+    return sorted(p) == list(range(G.n)) and all(
+        G.has_edge(p[u], p[v]) for u, v in G.edges()
+    )
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cycle_is_dihedral(self, n):
+        assert len(automorphisms(family("cycle", n))) == 2 * n
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_complete_graph_is_symmetric(self, n):
+        assert len(automorphisms(family("complete", n))) == factorial(n)
+
+    @pytest.mark.parametrize("n", range(0, 8))
+    def test_edgeless_graph_is_symmetric(self, n):
+        assert len(automorphisms(build_graph(n, []))) == factorial(n)
+
+    def test_complete_bipartite_K34(self):
+        K34 = build_graph(7, [(i, j) for i in range(3) for j in range(3, 7)])
+        assert len(automorphisms(K34)) == factorial(3) * factorial(4)
+
+    def test_petersen_graph(self):
+        assert len(automorphisms(kneser_graph(5, 2))) == 120
+
+    def test_cube_and_wagner_graph(self):
+        assert len(automorphisms(_cube())) == 48
+        assert len(automorphisms(_wagner())) == 16
+
+    @given(graphs(max_n=6))
+    def test_count_matches_brute_force(self, G):
+        auts = automorphisms(G)
+        assert len(auts) == brute_automorphism_count(G)
+        assert len(set(auts)) == len(auts)
+        assert tuple(range(G.n)) in auts
+        assert all(_is_automorphism(G, p) for p in auts)
 
 
 class TestConnectivity:
