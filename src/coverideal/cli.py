@@ -241,6 +241,10 @@ def _cmd_invariants(args):
     if G.n == 0:
         raise CLIError("invariants need a graph with at least one vertex")
     inputs = {"graph": source, "bfold": folds}
+    try:
+        chi_f = fractional_value(G)[0]
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
     chi, _ = chromatic_number(G)
     critical, _, failing = is_critical(G)
     results = {
@@ -250,7 +254,7 @@ def _cmd_invariants(args):
         "critical": critical,
         "failing_vertices": _vset(failing),
         "chi_b": [[b, b_fold_chromatic(G, b)[0]] for b in sorted(set(folds))],
-        "chi_f": _frac(fractional_value(G)[0]),
+        "chi_f": _frac(chi_f),
         "chi_f_window": classify_chi_f_window(G),
     }
     return 0, inputs, results

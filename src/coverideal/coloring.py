@@ -1,4 +1,9 @@
-"""Exact chromatic invariants: chi, criticality, b-fold and fractional chromatic numbers."""
+"""Exact chromatic invariants: chi, criticality, b-fold and fractional chromatic numbers.
+
+Colorability is decided on the adjacency bitmasks of ``graphs._masks``,
+restricted to a vertex subset given as a mask, so a vertex deletion in
+the criticality test is one cleared bit, not a rebuilt graph.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import Graph, delete_vertex, maximal_independent_sets
+from .graphs import Graph, _component, _masks, maximal_independent_sets
 from .lp import solve_cover_lp
 
 __all__ = [
@@ -41,10 +46,6 @@ class FractionalCertificate:
 
     weights: tuple[tuple[frozenset[int], Fraction], ...]
     total: Fraction
-
-
-def _adj_masks(G: Graph) -> list[int]:
-    return [sum(1 << u for u in G.adj[v]) for v in range(G.n)]
 
 
 def _twin_prev(masks: list[int]) -> list[int]:
@@ -88,10 +89,6 @@ def _k_color(masks: list[int], k: int) -> list[int] | None:
     with equal closed neighborhoods take strictly increasing colors.
     """
     n = len(masks)
-    if n == 0:
-        return []
-    if k <= 0:
-        return None
     twin = _twin_prev(masks)
     full = (1 << k) - 1
     avail = [full] * n
@@ -156,41 +153,22 @@ def _k_color(masks: list[int], k: int) -> list[int] | None:
     return list(color) if search(n) else None
 
 
-def _component_lists(G: Graph) -> list[list[int]]:
-    seen = [False] * G.n
-    comps = []
-    for v0 in range(G.n):
-        if seen[v0]:
-            continue
-        seen[v0] = True
-        stack, comp = [v0], [v0]
-        while stack:
-            v = stack.pop()
-            for u in G.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-                    comp.append(u)
-        comps.append(sorted(comp))
-    return comps
+def _colorable(masks: list[int], k: int, alive: int) -> list[int] | None:
+    """A k-coloring of the subgraph induced on the bitmask ``alive``, or None.
 
-
-def _colorable(G: Graph, k: int) -> list[int] | None:
-    """k-colorability with one witness, solved per connected component."""
-    if G.n == 0:
-        return []
-    if k <= 0:
-        return None
-    color = [-1] * G.n
-    for comp in _component_lists(G):
-        pos = {v: i for i, v in enumerate(comp)}
-        masks = [
-            sum(1 << pos[u] for u in G.adj[v] if u in pos) for v in comp
-        ]
-        sub = _k_color(masks, k)
+    Solved one component at a time, lowest vertex first, each component
+    renumbered in ascending vertex order for :func:`_k_color`.  The list is
+    indexed by vertex; vertices outside ``alive`` keep -1.
+    """
+    color = [-1] * len(masks)
+    while alive:
+        comp = _component(masks, alive)
+        alive ^= comp
+        vs = [v for v in range(len(masks)) if comp >> v & 1]
+        sub = _k_color([sum(1 << i for i, u in enumerate(vs) if masks[v] >> u & 1) for v in vs], k)
         if sub is None:
             return None
-        for v, c in zip(comp, sub):
+        for v, c in zip(vs, sub):
             color[v] = c
     return color
 
@@ -204,9 +182,10 @@ def chromatic_number(G: Graph) -> tuple[int, Coloring | None]:
     """
     if G.n == 0:
         return 0, None
-    lower = max(1, len(_greedy_clique(_adj_masks(G))))
+    masks = _masks(G)
+    lower = max(1, len(_greedy_clique(masks)))
     for k in range(lower, G.n + 1):
-        colors = _colorable(G, k)
+        colors = _colorable(masks, k, (1 << G.n) - 1)
         if colors is not None:
             witness = Coloring(
                 b=1,
@@ -226,11 +205,9 @@ def is_critical(G: Graph) -> tuple[bool, int, list[int]]:
     if G.n == 0:
         raise ValueError("criticality needs at least one vertex")
     chi, _ = chromatic_number(G)
-    failing = []
-    for v in range(G.n):
-        H = delete_vertex(G, v)
-        if _colorable(H, chi - 1) is None:
-            failing.append(v)
+    masks = _masks(G)
+    full = (1 << G.n) - 1
+    failing = [v for v in range(G.n) if _colorable(masks, chi - 1, full ^ (1 << v)) is None]
     return not failing, chi, failing
 
 
@@ -324,7 +301,7 @@ def b_fold_chromatic(G: Graph, b: int) -> tuple[int, Coloring]:
     member = [[i for i, s in enumerate(sets) if v in s] for v in range(G.n)]
     alpha = max(len(s) for s in sets)
     lb = max(b, _ceil_frac(b * G.n, alpha))
-    lb = max(lb, b * len(_greedy_clique(_adj_masks(G))))
+    lb = max(lb, b * len(_greedy_clique(_masks(G))))
     if len(sets) <= _LP_COLUMN_LIMIT:
         value, _ = _cover_lp(G)
         lb = max(lb, _ceil_frac(b * value.numerator, value.denominator))

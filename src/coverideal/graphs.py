@@ -3,6 +3,10 @@ isomorphism (tests, automorphism groups, first-kept class representatives).
 
 Vertices are 0-based contiguous integers 0..n-1.  Classical 1-based
 variable notation x_i corresponds to vertex index i - 1 throughout.
+
+The bitmask form of a graph lives here: ``_masks`` (bit u of masks[v] is
+the edge uv) and ``_component`` (one component walk inside a vertex mask)
+serve connectivity, the isomorphism certificates and ``coloring``.
 """
 
 from __future__ import annotations
@@ -247,19 +251,29 @@ def minimal_vertex_covers(G: Graph) -> list[frozenset[int]]:
     return [full - s for s in maximal_independent_sets(G)]
 
 
+def _masks(G: Graph) -> list[int]:
+    """Neighborhood of each vertex as a bitmask."""
+    return [sum(1 << u for u in nbrs) for nbrs in G.adj]
+
+
+def _component(masks: list[int], alive: int) -> int:
+    """Component of the lowest vertex of ``alive`` in the subgraph induced on ``alive``."""
+    comp = frontier = alive & -alive
+    while frontier:
+        reach = 0
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            reach |= masks[bit.bit_length() - 1]
+        frontier = reach & alive & ~comp
+        comp |= frontier
+    return comp
+
+
 def is_connected(G: Graph) -> bool:
     """True when G has one connected component (empty graph counts as connected)."""
-    if G.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in G.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == G.n
+    full = (1 << G.n) - 1
+    return _component(_masks(G), full) == full
 
 
 class _Certificate(NamedTuple):
@@ -297,7 +311,7 @@ def _certificate(G: Graph) -> _Certificate:
         if len(renumber) == cells:
             break
         cells = len(renumber)
-    masks = tuple(sum(1 << u for u in nbrs) for nbrs in G.adj)
+    masks = tuple(_masks(G))
     return _Certificate(hash((G.n, tuple(trace))), tuple(cols), masks)
 
 

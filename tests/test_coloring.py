@@ -5,13 +5,14 @@ graphs were derived with the brute-force oracles and the vertex-transitive
 n/alpha bound before implementation.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import graphs, graphs_with_components
 from coverideal.coloring import (
     b_fold_chromatic,
     certificate_is_valid,
@@ -22,6 +23,7 @@ from coverideal.coloring import (
     fractional_value,
     is_critical,
 )
+from coverideal.corpus import all_graphs
 from coverideal.graphs import (
     build_graph,
     delete_vertex,
@@ -66,6 +68,12 @@ class TestChromaticNumber:
         assert chi == brute_chromatic(G)
         assert coloring_is_proper(G, witness)
 
+    @given(graphs_with_components())
+    def test_several_components_match_brute_force(self, G):
+        chi, witness = chromatic_number(G)
+        assert chi == brute_chromatic(G)
+        assert coloring_is_proper(G, witness)
+
     @given(graphs(min_n=2, max_n=7), st.data())
     def test_monotone_under_induced_subgraphs(self, G, data):
         k = data.draw(st.integers(min_value=1, max_value=G.n))
@@ -102,6 +110,58 @@ class TestCriticality:
             dropped = chromatic_number(delete_vertex(G, v))[0]
             assert dropped in (chi, chi - 1)
             assert (v in failing) == (dropped == chi)
+
+
+def _brute_failing(G):
+    """Vertices whose deletion leaves chi unchanged, by the brute-force oracle."""
+    chi = brute_chromatic(G)
+    rest = set(range(G.n))
+    return [v for v in range(G.n) if brute_chromatic(induced_subgraph(G, rest - {v})) == chi]
+
+
+class TestCriticalityAgainstOracle:
+    """Deletions are decided on bitmasks; the oracle rebuilds each induced subgraph."""
+
+    @given(graphs_with_components())
+    def test_several_components(self, G):
+        failing = _brute_failing(G)
+        assert is_critical(G) == (not failing, brute_chromatic(G), failing)
+
+    @pytest.mark.parametrize(
+        "G,want",
+        [
+            # Two triangles joined at vertex 2: deleting it splits the component.
+            (
+                build_graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]),
+                (False, 3, [0, 1, 3, 4]),
+            ),
+            # C5 on 4 0 2 6 3 with a pendant vertex 5 at 3: vertex 3 is a cut vertex.
+            (build_graph(7, [(4, 0), (0, 2), (2, 6), (6, 3), (3, 4), (3, 5)]), (False, 3, [1, 5])),
+            # C5 on 1 3 5 6 2 with isolated vertices 0 and 4 between its vertices.
+            (build_graph(7, [(1, 3), (3, 5), (5, 6), (6, 2), (2, 1)]), (False, 3, [0, 4])),
+            (build_graph(1, []), (True, 1, [])),
+            # Edgeless: chi - 1 = 0 colors, and every deletion leaves a vertex.
+            (build_graph(4, []), (False, 1, [0, 1, 2, 3])),
+        ],
+        ids=["bowtie_cut_vertex", "pendant_cut_vertex", "isolated_vertices", "n1", "edgeless"],
+    )
+    def test_cases(self, G, want):
+        assert is_critical(G) == want
+        assert _brute_failing(G) == want[2]
+
+
+class TestFrozenWitnesses:
+    def test_all_graphs_to_seven_vertices(self):
+        # Witnesses depend on the order components are colored in and on the
+        # vertex numbering inside each; this digest pins both, and every triple.
+        rows = []
+        for n in range(1, 8):
+            for G in all_graphs(n):
+                chi, w = chromatic_number(G)
+                rows.append((n, G.edges(), chi, [sorted(c) for c in w.assignment], is_critical(G)))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "562d9b6c2a66490074af908d0e0eec0ee7d1f53f8637e151b472c8f2a45928c8"
+        )
 
 
 class TestBFold:

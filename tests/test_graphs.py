@@ -7,11 +7,12 @@ before the implementation was written.
 import itertools
 from math import factorial
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs, graphs_with_edges
+from conftest import graphs, graphs_with_components, graphs_with_edges
 from coverideal.graphs import (
     automorphisms,
     build_graph,
@@ -441,3 +442,13 @@ class TestConnectivity:
 
     def test_single_vertex(self):
         assert is_connected(build_graph(1, []))
+
+    def test_no_vertices(self):
+        assert is_connected(build_graph(0, []))
+
+    @given(st.one_of(graphs(max_n=8), graphs_with_components()))
+    def test_matches_networkx(self, G):
+        H = nx.Graph()
+        H.add_nodes_from(range(G.n))
+        H.add_edges_from(G.edges())
+        assert is_connected(G) == nx.is_connected(H)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 
 from conftest import graphs
+from coverideal.coloring import fractional_value
 from coverideal.graphs import family, kneser_graph, maximal_independent_sets
-from coverideal.lp import solve_cover_lp
+from coverideal import lp
+from coverideal.lp import _SET_LIMIT, solve_cover_lp
 
 
 def test_single_set_cover():
@@ -47,6 +49,20 @@ def test_empty_inputs_rejected():
         solve_cover_lp(0, [frozenset()])
     with pytest.raises(ValueError):
         solve_cover_lp(1, [])
+
+def test_set_limit(monkeypatch):
+    sets = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    with pytest.raises(ValueError, match=f"{_SET_LIMIT + 1} sets exceed .* limit of {_SET_LIMIT}"):
+        solve_cover_lp(2, (sets * _SET_LIMIT)[: _SET_LIMIT + 1])
+    monkeypatch.setattr(lp, "_SET_LIMIT", 3)
+    assert solve_cover_lp(2, sets)[0] == 1
+    with pytest.raises(ValueError, match="4 sets exceed .* limit of 3 sets"):
+        solve_cover_lp(2, sets + sets[:1])
+
+def test_set_limit_on_kneser_8_3():
+    # 23,936 maximal independent sets: the dense tableau once ran out of memory.
+    with pytest.raises(ValueError, match=f"23936 sets exceed .* limit of {_SET_LIMIT} sets"):
+        fractional_value(kneser_graph(8, 3))
 
 @given(graphs(min_n=1, max_n=6))
 def test_feasibility_and_value_consistency(G):
