@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import Graph, _component, _masks, maximal_independent_sets
+from . import lp
 from .lp import solve_cover_lp
 
 __all__ = [
@@ -273,11 +274,6 @@ def _coloring_from_sets(G: Graph, b: int, chosen, sets) -> Coloring:
     return Coloring(b=b, colors_used=len(chosen), assignment=tuple(assignment))
 
 
-# LP instances stay small only when the column list does; beyond this many
-# maximal independent sets the combinatorial lower bounds stand alone.
-_LP_COLUMN_LIMIT = 64
-
-
 @lru_cache(maxsize=None)
 def _cover_lp(G: Graph) -> tuple[Fraction, tuple[Fraction, ...]]:
     sets = maximal_independent_sets(G)
@@ -302,7 +298,7 @@ def b_fold_chromatic(G: Graph, b: int) -> tuple[int, Coloring]:
     alpha = max(len(s) for s in sets)
     lb = max(b, _ceil_frac(b * G.n, alpha))
     lb = max(lb, b * len(_greedy_clique(_masks(G))))
-    if len(sets) <= _LP_COLUMN_LIMIT:
+    if len(sets) <= lp._SET_LIMIT:
         value, _ = _cover_lp(G)
         lb = max(lb, _ceil_frac(b * value.numerator, value.denominator))
     chosen = _greedy_multicover(sets, b, G.n)

@@ -4,10 +4,13 @@ machinery with the package: plain backtracking, full subset enumeration,
 permutation search, and decomposition by recursive generator splitting.
 The pairwise census route (an invariant bucket and a jointly refined
 isomorphism test per pair) is the package's former deduplication, kept as
-the cross-check of the certificate route."""
+the cross-check of the certificate route.  The dense Bland-rule Fraction
+tableau is the package's former covering-LP solver, kept as the
+cross-check of the revised simplex."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from coverideal.graphs import Graph, build_graph
@@ -282,6 +285,72 @@ def pairwise_dedupe(candidates) -> list[Graph]:
             bucket.append(G)
             reps.append(G)
     return reps
+
+
+# ---------------------------------------------------------------------------
+# covering LP
+
+
+def dense_cover_lp(n: int, sets) -> tuple[Fraction, list[Fraction]]:
+    """The package's former covering-LP solver, kept as the cross-check.
+
+    Solves the packing dual ``max sum(y)`` subject to
+    ``sum(y_v for v in S) <= 1`` with a Bland-rule simplex on a dense
+    Fraction tableau of one row per set, then reads the covering weights
+    off the optimal tableau.  Returns (optimum, weights aligned with
+    ``sets``).
+    """
+    sets = [frozenset(s) for s in sets]
+    m = len(sets)
+    if n < 1 or m < 1:
+        raise ValueError("need at least one point and one set")
+    covered = set().union(*sets)
+    if covered != set(range(n)):
+        raise ValueError("every point must belong to some set")
+
+    zero, one = Fraction(0), Fraction(1)
+    rows: list[list[Fraction]] = []
+    for i, s in enumerate(sets):
+        row = [one if v in s else zero for v in range(n)]
+        row += [one if j == i else zero for j in range(m)]
+        row.append(one)
+        rows.append(row)
+    # Objective row holds reduced costs c - z and, in the last slot, -objective.
+    obj = [one] * n + [zero] * m + [zero]
+    basis = list(range(n, n + m))
+
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    leave, best = i, ratio
+        if leave is None:
+            raise RuntimeError("packing LP unbounded; covering sets malformed")
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        if obj[enter] != 0:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, rows[leave])]
+        basis[leave] = enter
+
+    value = -obj[-1]
+    weights = [-obj[n + i] for i in range(m)]
+    if sum(weights) != value or any(w < 0 for w in weights):
+        raise RuntimeError("simplex produced an inconsistent covering certificate")
+    for v in range(n):
+        if sum(w for w, s in zip(weights, sets) if v in s) < 1:
+            raise RuntimeError("simplex certificate fails to cover a point")
+    return value, weights
 
 
 # ---------------------------------------------------------------------------

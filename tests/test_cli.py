@@ -294,16 +294,27 @@ class TestInputChannels:
         assert code == 0
         assert report["results"]["chi"] == 3
 
-    def test_lp_set_limit_exits_2(self, capsys, tmp_path):
-        # Kneser K(7,3): 35 vertices, 70 edges and 6,127 maximal independent sets.
+    def test_kneser_7_3_answers(self, capsys, tmp_path):
+        # 35 vertices, 70 edges and 6,127 maximal independent sets.
         G = kneser_graph(7, 3)
         path = tmp_path / "k73.txt"
         path.write_text(f"{G.n} {G.m}\n" + "".join(f"{u} {v}\n" for u, v in G.edges()))
+        code, report, _ = run_json(capsys, "invariants", "--edge-list", str(path))
+        assert code == 0
+        results = report["results"]
+        assert (results["chi"], results["chi_f"], results["chi_f_window"]) == (3, "7/3", True)
+
+    def test_lp_set_limit_exits_2(self, capsys, tmp_path):
+        # Ten disjoint triangles: 30 vertices, 30 edges and 3^10 = 59,049
+        # maximal independent sets.
+        edges = [(3 * i + a, 3 * i + b) for i in range(10) for a, b in ((0, 1), (0, 2), (1, 2))]
+        path = tmp_path / "triangles.txt"
+        path.write_text("30 30\n" + "".join(f"{u} {v}\n" for u, v in edges))
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "invariants", "--edge-list", str(path))
         assert time.perf_counter() - start < 30
         assert code == 2 and out == ""
-        assert err == f"error: 6127 sets exceed the exact LP's limit of {lp._SET_LIMIT} sets\n"
+        assert err == f"error: 59049 sets exceed the exact LP's limit of {lp._SET_LIMIT} sets\n"
 
     def test_missing_edge_list_file(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import graphs, graphs_with_components
+from coverideal import lp
 from coverideal.coloring import (
     b_fold_chromatic,
     certificate_is_valid,
@@ -187,6 +188,16 @@ class TestBFold:
     def test_invalid_fold(self):
         with pytest.raises(ValueError):
             b_fold_chromatic(family("cycle", 5), 0)
+
+    def test_lp_bound_keeps_witnesses(self, monkeypatch):
+        # M(C11) has 144 maximal independent sets.  At b = 2 the LP bound
+        # ceil(2 * 146/55) = 6 skips the failing decision at 5 colours that
+        # the bound ceil(2 * 23/11) = 5 alone would make.
+        G = mycielski(family("cycle", 11))
+        with_lp = [b_fold_chromatic(G, b) for b in (1, 2)]
+        monkeypatch.setattr(lp, "_SET_LIMIT", 0)
+        assert [b_fold_chromatic(G, b) for b in (1, 2)] == with_lp
+        assert [value for value, _ in with_lp] == [4, 6]
 
     @given(graphs(min_n=1, max_n=5), st.integers(min_value=1, max_value=2))
     def test_matches_brute_force(self, G, b):
