@@ -74,6 +74,14 @@ def test_set_limit(monkeypatch):
     with pytest.raises(ValueError, match="4 sets exceed .* limit of 3 sets"):
         solve_cover_lp(2, sets + sets[:1])
 
+def test_set_limit_on_kneser_8_3(monkeypatch):
+    # 23,936 maximal independent sets: inside the limit, refused one below it.
+    G = kneser_graph(8, 3)
+    assert len(maximal_independent_sets(G)) == 23936 <= _SET_LIMIT
+    monkeypatch.setattr(lp, "_SET_LIMIT", 23935)
+    with pytest.raises(ValueError, match="23936 sets exceed .* limit of 23935 sets"):
+        fractional_value(G)
+
 @pytest.mark.skipif(not EXTENDED, reason="set COVERIDEAL_EXTENDED=1 to run the 23,936-set LP")
 def test_kneser_8_3_is_eight_thirds():
     # 23,936 maximal independent sets: the dense tableau once ran out of memory.
