@@ -31,7 +31,7 @@ from .correspondence import (
     technical_lemma_check,
     verify_correspondence,
 )
-from .graphs import Graph, build_graph, expand, family, mycielski, path_graph
+from .graphs import Graph, build_graph, family, mycielski, path_graph
 from .ideals import associated_primes, cover_ideal, irreducible_decomposition, power
 
 __all__ = ["main", "parse_builtin", "parse_edge_list", "parse_graph6"]
@@ -326,10 +326,9 @@ def _cmd_verify(args):
         raise CLIError("--b must be >= 1")
     inputs = {"graph": source, "which": args.which, "W": _vset(set(W)), "b": args.b}
     try:
-        member = technical_lemma_check(G, W, args.b)
+        member, d = technical_lemma_check(G, W, args.b)
     except (ValueError, RuntimeError) as exc:
         raise CLIError(str(exc)) from None
-    d, _ = b_fold_chromatic(expand(G, frozenset(W)), args.b)
     results = {
         "W": _vset(set(W)),
         "b": args.b,

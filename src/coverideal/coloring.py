@@ -3,6 +3,7 @@
 Colorability is decided on the adjacency bitmasks of ``graphs._masks``,
 restricted to a vertex subset given as a mask, so a vertex deletion in
 the criticality test is one cleared bit, not a rebuilt graph.
+``chromatic_number`` and ``fractional_value`` are memoized by graph.
 """
 
 from __future__ import annotations
@@ -274,13 +275,6 @@ def _coloring_from_sets(G: Graph, b: int, chosen, sets) -> Coloring:
     return Coloring(b=b, colors_used=len(chosen), assignment=tuple(assignment))
 
 
-@lru_cache(maxsize=None)
-def _cover_lp(G: Graph) -> tuple[Fraction, tuple[Fraction, ...]]:
-    sets = maximal_independent_sets(G)
-    value, weights = solve_cover_lp(G.n, sets)
-    return value, tuple(weights)
-
-
 def b_fold_chromatic(G: Graph, b: int) -> tuple[int, Coloring]:
     """Exact b-fold chromatic number with a witness.
 
@@ -299,7 +293,7 @@ def b_fold_chromatic(G: Graph, b: int) -> tuple[int, Coloring]:
     lb = max(b, _ceil_frac(b * G.n, alpha))
     lb = max(lb, b * len(_greedy_clique(_masks(G))))
     if len(sets) <= lp._SET_LIMIT:
-        value, _ = _cover_lp(G)
+        value, _ = fractional_value(G)
         lb = max(lb, _ceil_frac(b * value.numerator, value.denominator))
     chosen = _greedy_multicover(sets, b, G.n)
     for d in range(lb, len(chosen)):
@@ -328,16 +322,18 @@ def fractional_chromatic(G: Graph) -> tuple[Fraction, FractionalCertificate, int
     raise RuntimeError("no multiple of den(chi_f) below the cap achieves the ratio")
 
 
+@lru_cache(maxsize=None)
 def fractional_value(G: Graph) -> tuple[Fraction, FractionalCertificate]:
     """Exact fractional chromatic number and certificate, skipping the b search.
 
     Same value and certificate as fractional_chromatic, without materializing
-    a fold count that attains the ratio (which can be expensive).
+    a fold count that attains the ratio (which can be expensive).  Memoized
+    by graph: the chi_f window and the chi_b lower bound read the same LP.
     """
     if G.n == 0:
         raise ValueError("fractional chromatic number needs at least one vertex")
     sets = maximal_independent_sets(G)
-    value, weights = _cover_lp(G)
+    value, weights = solve_cover_lp(G.n, sets)
     cert = FractionalCertificate(
         weights=tuple((s, w) for s, w in zip(sets, weights) if w),
         total=value,
@@ -350,7 +346,7 @@ def classify_chi_f_window(G: Graph) -> bool:
     if G.n == 0:
         raise ValueError("window classification needs at least one vertex")
     chi, _ = chromatic_number(G)
-    value, _ = _cover_lp(G)
+    value, _ = fractional_value(G)
     return chi - 1 < value <= chi
 
 

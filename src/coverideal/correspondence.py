@@ -230,6 +230,11 @@ def persistence_sweep(graphs, s_max: int) -> SweepReport:
     )
 
 
+def _is_maximal_independent(G: Graph, W: frozenset[int]) -> bool:
+    """No vertex of W has a neighbour in W, and every other vertex has one."""
+    return all(bool(G.adj[v] & W) != (v in W) for v in range(G.n))
+
+
 def probe_expansion(G: Graph, W) -> ConjectureWitness:
     """Expand G at W and report the chromatic number and criticality.
 
@@ -239,9 +244,8 @@ def probe_expansion(G: Graph, W) -> ConjectureWitness:
     """
     W = frozenset(W)
     H = expand(G, W)
-    h_chi, _ = chromatic_number(H)
-    h_critical, _, _ = is_critical(H)
-    maximal = W in set(maximal_independent_sets(G))
+    h_critical, h_chi, _ = is_critical(H)
+    maximal = _is_maximal_independent(G, W)
     g_chi, _ = chromatic_number(G)
     if maximal and h_chi == g_chi + 1 and not h_critical:
         g_critical, _, _ = is_critical(G)
@@ -298,13 +302,14 @@ def conjecture_search(G: Graph, mode: str = "maximal_independent_only"):
     return False, None, True
 
 
-def technical_lemma_check(G: Graph, W, b: int) -> bool:
+def technical_lemma_check(G: Graph, W, b: int) -> tuple[bool, int]:
     """Membership identity linking expansion colorings to ideal powers.
 
     With G' the expansion of G at W and d its b-fold chromatic number, the
     monomial (x_0...x_{n-1})^(d-b) divided by the W-product to the b-th
     power must lie in J(G)^d.  This is the algebraic step that the
-    conjecture check rests on in the independent-set case.
+    conjecture check rests on in the independent-set case.  Returns the
+    membership and d.
     """
     if b < 1:
         raise ValueError("fold count must be >= 1")
@@ -315,4 +320,4 @@ def technical_lemma_check(G: Graph, W, b: int) -> bool:
     exps = tuple(d - b - (b if v in W else 0) for v in range(G.n))
     if any(e < 0 for e in exps):
         raise RuntimeError("negative exponent in the technical-lemma monomial")
-    return contains_in_power(J, d, exps)
+    return contains_in_power(J, d, exps), d

@@ -32,6 +32,7 @@ values a column holds, not on their size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "Monomial",
     "MonomialIdeal",
     "IrreducibleIdeal",
-    "Decomposition",
     "monomial_ideal",
     "cover_ideal",
     "multiply",
@@ -51,7 +51,6 @@ __all__ = [
     "b_fold_via_membership",
     "irreducible_decomposition",
     "associated_primes",
-    "clear_decomposition_cache",
 ]
 
 Monomial = tuple[int, ...]
@@ -373,26 +372,6 @@ class IrreducibleIdeal:
         return tuple(v for v, _ in self.exps), tuple(e for _, e in self.exps)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Irredundant irreducible decomposition, canonically ordered."""
-
-    components: tuple[IrreducibleIdeal, ...]
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-
-_DECOMP_CACHE: dict[tuple[int, tuple[Monomial, ...]], tuple[IrreducibleIdeal, ...]] = {}
-
-
-def clear_decomposition_cache() -> None:
-    _DECOMP_CACHE.clear()
-
-
 def _meet_irreducible(K, degs, sig, packed_sig, support_guard, code: _RowCode):
     """Minimal packed rows of K meet the irreducible ideal with rank row sig.
 
@@ -446,16 +425,25 @@ def _dual_ranks(I: MonomialIdeal) -> tuple[np.ndarray, np.ndarray, _RowCode]:
     return amax, R[:-1], _RowCode(values)
 
 
-def _decompose_by_duality(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
-    """Decompose by generator-wise duality.
+@lru_cache(maxsize=None)
+def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
+    """Unique irredundant decomposition into irreducible monomial ideals.
 
+    Computed by generator-wise duality and returned in canonical order.
     With a the componentwise maximum over the minimal generators, each
     generator m dualizes to the irreducible ideal with exponents
     a_v + 1 - m_v on the support of m; the components of I are read off
     the minimal generators of the intersection of those ideals by the
     same exponent flip.  The intersection is built one generator at a
     time from the unit ideal, keeping intermediate generator sets minimal.
+
+    Memoized by ideal (``cache_info()``, ``cache_clear()``): a persistence
+    check decomposes each power twice, as J^(s+1) and as the next J^s.
     """
+    if not I.gens:
+        raise ValueError("the zero ideal has no irreducible decomposition")
+    if any(sum(g) == 0 for g in I.gens):
+        raise ValueError("the unit ideal has no irreducible decomposition")
     amax, R, code = _dual_ranks(I)
     K = np.zeros((1, code.words), dtype=np.uint64)
     degs = np.zeros(1, dtype=np.intp)
@@ -468,23 +456,6 @@ def _decompose_by_duality(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
         for c in code.decode(K).tolist()
     ]
     return tuple(sorted(comps, key=IrreducibleIdeal.sort_key))
-
-
-def irreducible_decomposition(I: MonomialIdeal) -> Decomposition:
-    """Unique irredundant decomposition into irreducible monomial ideals.
-
-    Computed by generator-wise duality and returned in canonical order;
-    results are cached by generator list.
-    """
-    if not I.gens:
-        raise ValueError("the zero ideal has no irreducible decomposition")
-    if any(sum(g) == 0 for g in I.gens):
-        raise ValueError("the unit ideal has no irreducible decomposition")
-    key = (I.nvars, I.gens)
-    cached = _DECOMP_CACHE.get(key)
-    if cached is None:
-        cached = _DECOMP_CACHE[key] = _decompose_by_duality(I)
-    return Decomposition(cached)
 
 
 def associated_primes(I: MonomialIdeal) -> list[frozenset[int]]:

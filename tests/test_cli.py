@@ -348,6 +348,43 @@ class TestInputChannels:
             assert code == 2, spec
 
 
+_DEGENERATE_GRAPHS = {
+    "n0": "0 0\n",
+    "n1": "1 0\n",
+    "two_isolated": "2 0\n",
+    "one_edge": "2 1\n0 1\n",
+    "edge_and_isolated": "3 1\n0 1\n",
+}
+
+_EVERY_COMMAND = {
+    "invariants": ["invariants"],
+    "invariants_bfold": ["invariants", "--bfold", "1,2"],
+    "decompose_1": ["decompose", "--power", "1"],
+    "decompose_2": ["decompose", "--power", "2"],
+    "correspondence_1": ["verify", "correspondence", "--power", "1"],
+    "correspondence_2": ["verify", "correspondence", "--power", "2"],
+    "persistence_1": ["verify", "persistence", "--power", "1"],
+    "persistence_2": ["verify", "persistence", "--power", "2"],
+    "lemma_b1": ["verify", "technical-lemma", "--W", "0", "--b", "1"],
+    "lemma_b2": ["verify", "technical-lemma", "--W", "0", "--b", "2"],
+    "lemma_edge": ["verify", "technical-lemma", "--W", "0,1", "--b", "1"],
+    "conjecture_mis": ["conjecture", "--mode", "maximal-independent-only"],
+    "conjecture_all": ["conjecture", "--mode", "all-subsets"],
+}
+
+
+class TestDegenerateGraphs:
+    @pytest.mark.parametrize("graph", _DEGENERATE_GRAPHS)
+    @pytest.mark.parametrize("command", _EVERY_COMMAND)
+    def test_answer_or_usage_error(self, capsys, tmp_path, graph, command):
+        path = tmp_path / "g.txt"
+        path.write_text(_DEGENERATE_GRAPHS[graph])
+        argv = _EVERY_COMMAND[command]
+        code, _, err = run_cli(capsys, *argv[:1], "--edge-list", str(path), *argv[1:])
+        assert code in (0, 1, 2), err
+        assert "internal error:" not in err and "Traceback" not in err
+
+
 class TestReportDiscipline:
     def test_byte_identical_reruns(self, capsys):
         first = run_cli(capsys, "decompose", "--builtin", "cycle:5", "--power", "2", "--json")

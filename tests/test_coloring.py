@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import graphs, graphs_with_components
-from coverideal import lp
+from coverideal import coloring, lp
 from coverideal.coloring import (
     b_fold_chromatic,
     certificate_is_valid,
@@ -275,6 +275,28 @@ class TestFractional:
         chi = chromatic_number(G)[0]
         value, _ = fractional_value(G)
         assert classify_chi_f_window(G) == (chi - 1 < value <= chi)
+
+    def test_one_lp_per_graph(self, monkeypatch):
+        # The chi_f window and the chi_b lower bound read fractional_value's
+        # memo; b_fold_chromatic enumerates its own sets for the search.
+        calls = {"sets": 0, "lp": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for key, name in (("sets", "maximal_independent_sets"), ("lp", "solve_cover_lp")):
+            monkeypatch.setattr(coloring, name, counted(key, getattr(coloring, name)))
+        fractional_value.cache_clear()
+        G = mycielski(family("cycle", 5))
+        fractional_value(G)
+        classify_chi_f_window(G)
+        b_fold_chromatic(G, 2)
+        assert calls == {"sets": 2, "lp": 1}
+        assert fractional_value.cache_info().hits == 2
 
 
 class TestWindow:

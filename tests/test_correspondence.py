@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs_with_edges
+from conftest import graphs, graphs_with_edges
 from coverideal import correspondence
-from coverideal.coloring import chromatic_number, is_critical
+from coverideal.coloring import b_fold_chromatic, chromatic_number, is_critical
 from coverideal.correspondence import (
     PersistenceFinding,
     _shadow_graph,
@@ -29,6 +29,7 @@ from coverideal.correspondence import (
 )
 from coverideal.corpus import connected_graphs
 from coverideal.graphs import (
+    expand,
     family,
     induced_subgraph,
     maximal_independent_sets,
@@ -320,6 +321,14 @@ class TestProbeExpansion:
                     continue
                 assert probe_expansion(G, W).expanded_chi == chi
 
+    @given(graphs(min_n=0, max_n=6))
+    def test_maximal_independent_decision_matches_enumeration(self, G):
+        maximal = set(maximal_independent_sets(G))
+        for r in range(G.n + 1):
+            for c in combinations(range(G.n), r):
+                W = frozenset(c)
+                assert correspondence._is_maximal_independent(G, W) == (W in maximal)
+
 
 class TestTechnicalLemma:
     @pytest.mark.parametrize(
@@ -334,7 +343,9 @@ class TestTechnicalLemma:
         ],
     )
     def test_membership_holds(self, G, W, b):
-        assert technical_lemma_check(G, W, b) is True
+        member, d = technical_lemma_check(G, W, b)
+        assert member is True
+        assert d == b_fold_chromatic(expand(G, W), b)[0]
 
     def test_invalid_fold(self):
         with pytest.raises(ValueError):

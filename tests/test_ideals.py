@@ -17,7 +17,6 @@ from coverideal.ideals import (
     _dual_ranks,
     associated_primes,
     b_fold_via_membership,
-    clear_decomposition_cache,
     contains,
     contains_in_power,
     cover_ideal,
@@ -201,11 +200,11 @@ class TestDecomposition:
         I = monomial_ideal(2, [(1, 0), (0, 1)])
         got = irreducible_decomposition(I)
         assert len(got) == 1
-        assert got.components[0] == IrreducibleIdeal(2, ((0, 1), (1, 1)))
+        assert got[0] == IrreducibleIdeal(2, ((0, 1), (1, 1)))
 
     def test_principal_pure_power(self):
         got = irreducible_decomposition(monomial_ideal(1, [(2,)]))
-        assert got.components == (IrreducibleIdeal(1, ((0, 2),)),)
+        assert got == (IrreducibleIdeal(1, ((0, 2),)),)
 
     @pytest.mark.parametrize(
         "G",
@@ -235,8 +234,16 @@ class TestDecomposition:
     def test_deterministic_across_cache_state(self):
         I = monomial_ideal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1)])
         first = irreducible_decomposition(I)
-        clear_decomposition_cache()
+        irreducible_decomposition.cache_clear()
         assert irreducible_decomposition(I) == first
+
+    def test_equal_ideal_is_a_cache_hit(self):
+        I = power(cover_ideal(family("cycle", 7)), 2)
+        first = irreducible_decomposition(I)
+        hits = irreducible_decomposition.cache_info().hits
+        again = irreducible_decomposition(monomial_ideal(I.nvars, I.gens))
+        assert again is first
+        assert irreducible_decomposition.cache_info().hits == hits + 1
 
     def test_components_canonically_sorted(self):
         comps = irreducible_decomposition(power(cover_ideal(family("cycle", 5)), 2))
@@ -247,7 +254,7 @@ class TestDecomposition:
     def test_intersection_equals_ideal(self, ideal):
         nv, gens = ideal
         I = monomial_ideal(nv, gens)
-        comps = irreducible_decomposition(I).components
+        comps = irreducible_decomposition(I)
         bound = max((e for g in I.gens for e in g), default=0) + 1
         for m in monomial_box((bound,) * nv):
             assert contains(I, m) == all(c.contains_monomial(m) for c in comps)
@@ -256,7 +263,7 @@ class TestDecomposition:
     def test_no_component_is_redundant(self, ideal):
         nv, gens = ideal
         I = monomial_ideal(nv, gens)
-        comps = irreducible_decomposition(I).components
+        comps = irreducible_decomposition(I)
         bound = max(e for g in I.gens for e in g)
         for i, dropped in enumerate(comps):
             others = comps[:i] + comps[i + 1 :]
@@ -303,7 +310,7 @@ class TestDecompositionEngines:
     def test_engines_agree_on_random_ideals(self, data):
         nvars, gens = data
         I = monomial_ideal(nvars, gens)
-        assert irreducible_decomposition(I).components == splitting_decomposition(I)
+        assert irreducible_decomposition(I) == splitting_decomposition(I)
 
     def test_engines_agree_on_cover_ideal_powers(self):
         expected = {
@@ -313,14 +320,14 @@ class TestDecompositionEngines:
         }
         for (kind, n, s), count in expected.items():
             I = power(cover_ideal(family(kind, n)), s)
-            dual = irreducible_decomposition(I).components
+            dual = irreducible_decomposition(I)
             assert dual == splitting_decomposition(I)
             assert len(dual) == count
 
     def test_engines_agree_on_large_exponents(self):
         # Exponents past 255 widen the whole duality chain to uint16.
         I = monomial_ideal(2, [(300, 0), (1, 2), (0, 400)])
-        assert irreducible_decomposition(I).components == splitting_decomposition(I)
+        assert irreducible_decomposition(I) == splitting_decomposition(I)
 
     @pytest.mark.parametrize("top", [255, 256, 65_535, 65_536])
     def test_wide_exponents_match_oracles(self, top):
@@ -332,7 +339,7 @@ class TestDecompositionEngines:
         prod = multiply(A, B)
         assert prod.gens == brute_product_gens(A.gens, B.gens)
         assert max(max(g) for g in prod.gens) == top
-        assert irreducible_decomposition(prod).components == splitting_decomposition(prod)
+        assert irreducible_decomposition(prod) == splitting_decomposition(prod)
 
     def test_exponents_past_64_bits_rejected(self):
         with pytest.raises(ValueError, match="64-bit"):
@@ -364,7 +371,7 @@ class TestDecompositionEngines:
         ]
         I = monomial_ideal(7, gens)
         assert I.gens == brute_minimalize(gens)
-        comps = irreducible_decomposition(I).components
+        comps = irreducible_decomposition(I)
         assert comps == splitting_decomposition(I)
         assert len(comps) == 38
 
@@ -419,7 +426,7 @@ class TestPackedKernel:
         monkeypatch.setattr(ideals, "_PAIR_BLOCK", pair)
         monkeypatch.setattr(ideals, "_KEPT_BLOCK", kept)
         monkeypatch.setattr(ideals, "_PRODUCT_BLOCK", product)
-        clear_decomposition_cache()
+        irreducible_decomposition.cache_clear()
         rng = random.Random(pair * 100 + kept)
         for _ in range(20):
             rows = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(12)]
@@ -428,8 +435,8 @@ class TestPackedKernel:
             assert I.gens == brute_minimalize(rows)
             J = monomial_ideal(4, rows[:4])
             assert multiply(I, J).gens == brute_product_gens(I.gens, J.gens)
-            assert irreducible_decomposition(I).components == splitting_decomposition(I)
-        clear_decomposition_cache()
+            assert irreducible_decomposition(I) == splitting_decomposition(I)
+        irreducible_decomposition.cache_clear()
 
 
 def _complete_multipartite(*parts):
@@ -463,7 +470,7 @@ class TestClosedFormPerfectGraphs:
     def test_components_match_closed_form(self, G, s, words, count):
         I = power(cover_ideal(G), s)
         assert _dual_ranks(I)[2].words == words
-        comps = irreducible_decomposition(I).components
+        comps = irreducible_decomposition(I)
         expected = perfect_graph_components(G, s)
         assert len(comps) == count
         assert set(comps) == expected
