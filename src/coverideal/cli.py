@@ -343,11 +343,11 @@ def _cmd_conjecture(args):
     mode = args.mode.replace("-", "_")
     inputs = {"graph": source, "mode": args.mode}
     try:
-        found, witness, exhausted = conjecture_search(G, mode)
+        witness = conjecture_search(G, mode)
     except ValueError as exc:
         raise CLIError(str(exc)) from None
     results = {
-        "found": found,
+        "found": witness is not None,
         "witness": (
             None
             if witness is None
@@ -358,9 +358,9 @@ def _cmd_conjecture(args):
                 "expanded_critical": witness.expanded_critical,
             }
         ),
-        "exhausted": exhausted,
+        "exhausted": witness is None,
     }
-    return (0 if found else 1), inputs, results
+    return (1 if witness is None else 0), inputs, results
 
 
 _HANDLERS = {

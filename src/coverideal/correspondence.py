@@ -5,7 +5,7 @@ persistence of associated primes and the critical-expansion search."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .coloring import chromatic_number, is_critical, b_fold_chromatic
 from .graphs import Graph, expand, maximal_independent_sets, replicate
@@ -85,6 +85,19 @@ def _shadow_graph(G: Graph, component: IrreducibleIdeal, s: int) -> Graph:
     return replicate(G, copies)
 
 
+def _decomposition_of_power(
+    G: Graph, s: int, Js: MonomialIdeal | None
+) -> tuple[IrreducibleIdeal, ...]:
+    """Irreducible components of J(G)^s, from Js when the caller holds it."""
+    if s < 1:
+        raise ValueError("expansion order must be >= 1")
+    if Js is None:
+        Js = power(cover_ideal(G), s)
+    elif Js.nvars != G.n:
+        raise ValueError("the power lives in a ring of another graph")
+    return irreducible_decomposition(Js)
+
+
 def verify_correspondence(
     G: Graph, s: int, Js: MonomialIdeal | None = None
 ) -> list[ComponentCorrespondence]:
@@ -95,13 +108,7 @@ def verify_correspondence(
     caller that already holds J(G)^s passes it as Js; otherwise it is
     built from J(G).
     """
-    if s < 1:
-        raise ValueError("expansion order must be >= 1")
-    if Js is None:
-        Js = power(cover_ideal(G), s)
-    elif Js.nvars != G.n:
-        raise ValueError("the power lives in a ring of another graph")
-    decomp = irreducible_decomposition(Js)
+    decomp = _decomposition_of_power(G, s, Js)
     out = []
     for comp in decomp:
         Y = component_to_Y(comp, s)
@@ -130,13 +137,7 @@ def converse_correspondence(
     decomposition.  An empty list is the expected outcome.  A caller that
     already holds J(G)^s passes it as Js; otherwise it is built from J(G).
     """
-    if s < 1:
-        raise ValueError("expansion order must be >= 1")
-    if Js is None:
-        Js = power(cover_ideal(G), s)
-    elif Js.nvars != G.n:
-        raise ValueError("the power lives in a ring of another graph")
-    decomp = set(irreducible_decomposition(Js))
+    decomp = set(_decomposition_of_power(G, s, Js))
     missing = []
     for r in range(1, G.n + 1):
         for support in combinations(range(G.n), r):
@@ -261,12 +262,15 @@ def probe_expansion(G: Graph, W) -> ConjectureWitness:
     )
 
 
-def conjecture_search(G: Graph, mode: str = "maximal_independent_only"):
+def conjecture_search(
+    G: Graph, mode: str = "maximal_independent_only"
+) -> ConjectureWitness | None:
     """Search for W whose expansion is critically (chi+1)-chromatic.
 
     Candidates run through the maximal independent sets in canonical order;
     mode "all_subsets" continues with every remaining vertex subset ordered
-    by size then lexicographically.  Returns (found, witness, exhausted).
+    by size then lexicographically, drawn only as the search reaches them.
+    Returns the first witness, or None when every candidate fails.
     """
     if mode not in ("maximal_independent_only", "all_subsets"):
         raise ValueError(f"unknown search mode {mode!r}")
@@ -274,17 +278,11 @@ def conjecture_search(G: Graph, mode: str = "maximal_independent_only"):
     if not critical:
         raise ValueError("conjecture search expects a critical graph")
     target = chi + 1
-    mis = maximal_independent_sets(G)
-    candidates = list(mis)
+    candidates = maximal_independent_sets(G)
+    mis = set(candidates)
     if mode == "all_subsets":
-        seen = set(mis)
-        candidates += [
-            W
-            for r in range(G.n + 1)
-            for c in combinations(range(G.n), r)
-            if (W := frozenset(c)) not in seen
-        ]
-    mis_set = set(mis)
+        subsets = (frozenset(c) for r in range(G.n + 1) for c in combinations(range(G.n), r))
+        candidates = chain(candidates, (W for W in subsets if W not in mis))
     for W in candidates:
         H = expand(G, W)
         h_chi, _ = chromatic_number(H)
@@ -292,14 +290,13 @@ def conjecture_search(G: Graph, mode: str = "maximal_independent_only"):
             continue
         h_critical, _, _ = is_critical(H)
         if h_critical:
-            witness = ConjectureWitness(
+            return ConjectureWitness(
                 W=W,
-                is_maximal_independent=W in mis_set,
+                is_maximal_independent=W in mis,
                 expanded_chi=h_chi,
                 expanded_critical=True,
             )
-            return True, witness, False
-    return False, None, True
+    return None
 
 
 def technical_lemma_check(G: Graph, W, b: int) -> tuple[bool, int]:

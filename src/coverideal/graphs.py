@@ -36,21 +36,12 @@ __all__ = [
     "first_of_each_class",
 ]
 
-Label = tuple[int, int]
-
-
 @dataclass(frozen=True)
 class Graph:
-    """Immutable finite simple graph on vertices 0..n-1.
-
-    ``labels``, when present, assigns each vertex a ``(base, copy)``
-    origin pair with copies counted from 1; expansion constructors
-    produce them so shadow vertices stay addressable.
-    """
+    """Immutable simple graph on vertices 0..n-1; a shadow's origin is its position."""
 
     n: int
     adj: tuple[frozenset[int], ...]
-    labels: tuple[Label, ...] | None = None
 
     @property
     def m(self) -> int:
@@ -68,7 +59,7 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
 
 
-def build_graph(n: int, edges, labels=None) -> Graph:
+def build_graph(n: int, edges) -> Graph:
     """Construct a validated simple graph; duplicate edges collapse."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -80,19 +71,11 @@ def build_graph(n: int, edges, labels=None) -> Graph:
             raise ValueError(f"loop edge at vertex {u}")
         adj[u].add(v)
         adj[v].add(u)
-    if labels is not None:
-        labels = tuple((int(b), int(c)) for b, c in labels)
-        if len(labels) != n:
-            raise ValueError("labels must cover every vertex exactly once")
-        if len(set(labels)) != n:
-            raise ValueError("labels must be distinct (base, copy) pairs")
-        if any(c < 1 for _, c in labels):
-            raise ValueError("label copies count from 1")
-    return Graph(n, tuple(frozenset(a) for a in adj), labels)
+    return Graph(n, tuple(frozenset(a) for a in adj))
 
 
 def complement(G: Graph) -> Graph:
-    """Complement graph on the same vertex set (labels dropped)."""
+    """Complement graph on the same vertices, in the same order."""
     edges = [(u, v) for u, v in combinations(range(G.n), 2) if not G.has_edge(u, v)]
     return build_graph(G.n, edges)
 
@@ -140,10 +123,7 @@ def kneser_graph(n: int, k: int) -> Graph:
 
 
 def induced_subgraph(G: Graph, vertices) -> Graph:
-    """Induced subgraph on the given vertices, relabeled 0..|Y|-1 in sorted order.
-
-    Shadow labels, when present, are carried over to the surviving vertices.
-    """
+    """Induced subgraph on the given vertices, renumbered 0..|Y|-1 in sorted order."""
     vs = sorted(set(vertices))
     if vs and not (0 <= vs[0] and vs[-1] < G.n):
         raise ValueError("vertex out of range")
@@ -151,8 +131,7 @@ def induced_subgraph(G: Graph, vertices) -> Graph:
     edges = [
         (index[u], index[v]) for u in vs for v in G.adj[u] if u < v and v in index
     ]
-    labels = tuple(G.labels[v] for v in vs) if G.labels is not None else None
-    return build_graph(len(vs), edges, labels)
+    return build_graph(len(vs), edges)
 
 
 def delete_vertex(G: Graph, v: int) -> Graph:
@@ -165,9 +144,9 @@ def delete_vertex(G: Graph, v: int) -> Graph:
 def replicate(G: Graph, copies) -> Graph:
     """Replace each vertex v by a clique of ``copies[v]`` shadows.
 
-    Shadows of v are labeled (v, 1)..(v, copies[v]); a count of 0 drops v.
-    Shadows of adjacent vertices are completely joined.  Vertices keep the
-    canonical order (base ascending, copy ascending).
+    Shadow j of v (j = 1..copies[v]) sits at ``start[v] + j - 1``, where
+    start[v] sums copies[u] over u < v; a count of 0 drops v.  Shadows of
+    adjacent vertices are completely joined.
     """
     copies = list(copies)
     if len(copies) != G.n:
@@ -176,11 +155,10 @@ def replicate(G: Graph, copies) -> Graph:
         raise ValueError("copy counts must be nonnegative")
     start = list(accumulate(copies, initial=0))
     shadows = [range(start[v], start[v + 1]) for v in range(G.n)]
-    labels = [(v, c) for v in range(G.n) for c in range(1, copies[v] + 1)]
     edges = [e for r in shadows for e in combinations(r, 2)]
     for u, v in G.edges():
         edges.extend(product(shadows[u], shadows[v]))
-    return build_graph(start[-1], edges, labels)
+    return build_graph(start[-1], edges)
 
 
 def expand(G: Graph, W) -> Graph:
@@ -188,7 +166,8 @@ def expand(G: Graph, W) -> Graph:
 
     Both shadows inherit all neighbors of the original vertex (and are
     adjacent to both shadows of any expanded neighbor); unexpanded vertices
-    keep one shadow, labeled (v, 1).  See ``replicate``.
+    keep one shadow.  The shadows of v start at v plus the number of
+    vertices of W below v, as ``replicate`` places them.
     """
     W = frozenset(W)
     if W and not all(0 <= w < G.n for w in W):
@@ -363,7 +342,7 @@ def _isomorphisms(a: _Certificate, b: _Certificate):
 
 
 def is_isomorphic(G: Graph, H: Graph) -> bool:
-    """Exact isomorphism test (labels ignored): equal keys and a matching."""
+    """Exact isomorphism test on structure alone: equal keys and a matching."""
     a, b = _certificate(G), _certificate(H)
     return a.key == b.key and next(_isomorphisms(a, b), None) is not None
 

@@ -149,13 +149,13 @@ def brute_replicate(G: Graph, copies) -> Graph:
     """Replication from its definition: shadows (v, c) for c = 1..copies[v],
     listed base by base, two shadows adjacent when they share a base or
     their bases are adjacent."""
-    labels = [(v, c) for v in range(G.n) for c in range(1, copies[v] + 1)]
+    shadows = [(v, c) for v in range(G.n) for c in range(1, copies[v] + 1)]
     edges = [
         (i, j)
-        for i, j in combinations(range(len(labels)), 2)
-        if labels[i][0] == labels[j][0] or labels[j][0] in G.adj[labels[i][0]]
+        for i, j in combinations(range(len(shadows)), 2)
+        if shadows[i][0] == shadows[j][0] or shadows[j][0] in G.adj[shadows[i][0]]
     ]
-    return build_graph(len(labels), edges, labels)
+    return build_graph(len(shadows), edges)
 
 
 def brute_automorphism_count(G: Graph) -> int:

@@ -1,5 +1,6 @@
 """Command-line surface tests: parsing, report shape, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -10,8 +11,11 @@ import time
 
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import coverideal
+from conftest import graphs
 from coverideal import cli, lp
 from coverideal.cli import CLIError, main, parse_edge_list, parse_graph6
 from coverideal.graphs import build_graph, family, kneser_graph
@@ -84,6 +88,39 @@ class TestGraph6Parsing:
     def test_bad_inputs(self, text):
         with pytest.raises(CLIError):
             parse_graph6(text)
+
+
+# Arbitrary text with the pieces both formats look for mixed in.
+_PARSER_TEXT = st.lists(
+    st.one_of(
+        st.text(max_size=12),
+        st.sampled_from(["~", ">>graph6<<", "#", "\n", " ", "0", "1", "2", "-", "?", "DQc"]),
+    ),
+    max_size=12,
+).map("".join)
+
+
+class TestParserFuzz:
+    @given(_PARSER_TEXT)
+    def test_edge_list_parses_or_raises_cli_error(self, text):
+        try:
+            parse_edge_list(text)
+        except CLIError:
+            pass
+
+    @given(_PARSER_TEXT)
+    def test_graph6_parses_or_raises_cli_error(self, text):
+        try:
+            parse_graph6(text)
+        except CLIError:
+            pass
+
+    @given(graphs(min_n=0), st.randoms(use_true_random=False))
+    def test_edge_list_round_trip(self, G, rng):
+        edges = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in G.edges()]
+        rng.shuffle(edges)
+        lines = [f"{G.n} {G.m}"] + [f"{u} {v}" for u, v in edges]
+        assert parse_edge_list("\n".join(lines) + "\n") == G
 
 
 class TestInvariantsCommand:
@@ -383,6 +420,54 @@ class TestDegenerateGraphs:
         code, _, err = run_cli(capsys, *argv[:1], "--edge-list", str(path), *argv[1:])
         assert code in (0, 1, 2), err
         assert "internal error:" not in err and "Traceback" not in err
+
+
+# SHA-256 of each command's --json stdout. Reports are byte-stable, so only
+# an intended change of answer or format may change a digest.
+_FROZEN_REPORTS = {
+    "decompose_mc7_s3": (
+        ["decompose", "--builtin", "mycielski-cycle:7", "--power", "3"],
+        "d379bdd77a2426ba93965d49bdc3942ed375c79957de29c874e823ccbae9eeef",
+    ),
+    "decompose_c18_s2": (
+        ["decompose", "--builtin", "cycle:18", "--power", "2"],
+        "ce72f7bf2cf6a9075dda12ac80b9e17cc7d922fd449b90da54d9ab4cc81bc70e",
+    ),
+    "correspondence_mc5_s3": (
+        ["verify", "correspondence", "--builtin", "mycielski-cycle:5", "--power", "3"],
+        "c08b678fabfa7a8c0d37a912c21ad64a12a87167a800b3dbb8fb550bb99013be",
+    ),
+    "persistence_mc5_s2": (
+        ["verify", "persistence", "--builtin", "mycielski-cycle:5", "--power", "2"],
+        "cbf908f3749f5a490d5e52b2b53c6d905303fbb8ec625a9cc3f3c5da9297783f",
+    ),
+    "technical_lemma_mc5": (
+        ["verify", "technical-lemma", "--builtin", "mycielski-cycle:5",
+         "--W", "0,2,5", "--b", "3"],
+        "ccb8df77b778edda305b0b50a1fbb153771c77eb0498d74d52414c4e13ef4fe9",
+    ),
+    "invariants_mc5_bfold": (
+        ["invariants", "--builtin", "mycielski-cycle:5", "--bfold", "1,2"],
+        "9bd6fb07f4c607867b22394d0ae4c751fca317f2c9fecb9f1d283cba3f5325d7",
+    ),
+    "conjecture_c7": (
+        ["conjecture", "--builtin", "cycle:7"],
+        "f0b571099a7f8214229f633f98d7782fc1de859df2dc1b6243053d73ffc654b4",
+    ),
+    "conjecture_mc9_all": (
+        ["conjecture", "--builtin", "mycielski-cycle:9", "--mode", "all-subsets"],
+        "c343a0b4862ffa0b34464e9ad5c6ea270fb358c2458276bb41221530f39acb40",
+    ),
+}
+
+
+class TestFrozenReports:
+    @pytest.mark.parametrize("name", _FROZEN_REPORTS)
+    def test_json_report_digest(self, capsys, name):
+        argv, digest = _FROZEN_REPORTS[name]
+        code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestReportDiscipline:

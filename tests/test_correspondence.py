@@ -246,8 +246,8 @@ class TestPersistence:
 
 class TestConjectureSearch:
     def test_C5_finds_maximal_independent_pair(self):
-        found, witness, exhausted = conjecture_search(family("cycle", 5))
-        assert found and not exhausted
+        witness = conjecture_search(family("cycle", 5))
+        assert witness is not None
         assert witness.W == frozenset({0, 2})
         assert witness.is_maximal_independent
         assert witness.expanded_chi == 4
@@ -260,16 +260,16 @@ class TestConjectureSearch:
         assert w.expanded_critical
 
     def test_mycielski_C9_finds_the_x_y_witness(self):
-        found, witness, exhausted = conjecture_search(mycielski(family("cycle", 9)))
-        assert found and not exhausted
+        witness = conjecture_search(mycielski(family("cycle", 9)))
+        assert witness is not None
         assert witness.W == frozenset({0, 2, 4, 6, 9, 11, 13, 15})
         assert witness.expanded_chi == 5
         assert witness.expanded_critical
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_cliques_expand_at_one_vertex(self, n):
-        found, witness, _ = conjecture_search(family("complete", n))
-        assert found
+        witness = conjecture_search(family("complete", n))
+        assert witness is not None
         assert len(witness.W) == 1
         assert witness.expanded_chi == n + 1
 
@@ -286,6 +286,19 @@ class TestConjectureSearch:
             a = conjecture_search(G)
             b = conjecture_search(G, mode="all_subsets")
             assert a == b
+
+    def test_all_subsets_draws_no_subset_when_a_maximal_set_wins(self, monkeypatch):
+        drawn = []
+
+        def counting_combinations(pool, r):
+            for c in combinations(pool, r):
+                drawn.append(c)
+                yield c
+
+        monkeypatch.setattr(correspondence, "combinations", counting_combinations)
+        witness = conjecture_search(family("cycle", 5), mode="all_subsets")
+        assert drawn == []
+        assert witness.W == frozenset({0, 2}) and witness.is_maximal_independent
 
 
 class TestProbeExpansion:
@@ -352,11 +365,16 @@ class TestTechnicalLemma:
             technical_lemma_check(family("cycle", 5), {1, 3}, 0)
 
 
-def _witness_shift_component(H, comp, s):
-    """Shifted exponent vector from a found witness on the component's graph."""
-    found, witness, _ = conjecture_search(H, mode="all_subsets")
-    assert found, "every component's graph should admit a witness at this scale"
-    bases = [H.labels[w][0] for w in witness.W]
+def _witness_shift_component(H, Y, comp, s):
+    """Shifted exponent vector from a found witness on the component's graph.
+
+    H is induced on the shadow set Y of the s-th expansion, so vertex w of H
+    is shadow sorted(Y)[w], whose base is that position divided by s.
+    """
+    witness = conjecture_search(H, mode="all_subsets")
+    assert witness is not None, "every component's graph should admit a witness at this scale"
+    shadows = sorted(Y)
+    bases = [shadows[w] // s for w in witness.W]
     exps = []
     for v, a in comp.exps:
         b_v = bases.count(v)
@@ -386,6 +404,6 @@ class TestWitnessShiftsComponentsForward:
             H = induced_subgraph(Gs, Y)
             critical, chi, _ = is_critical(H)
             assert critical and chi == s + 1
-            shifted = _witness_shift_component(H, comp, s)
+            shifted = _witness_shift_component(H, Y, comp, s)
             assert all(1 <= e <= s + 1 for _, e in shifted.exps)
             assert shifted in next_decomp
