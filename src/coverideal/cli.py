@@ -38,9 +38,20 @@ __all__ = ["main", "parse_builtin", "parse_edge_list", "parse_graph6"]
 
 _BUILTIN_KINDS = ("cycle", "complete", "antihole", "path", "mycielski-cycle")
 
+# Largest vertex count any input may ask for, checked before the graph is
+# built.  The colouring search and the maximal-independent-set enumeration
+# recurse once per vertex, so Python's default recursion limit of 1000
+# frames already ends larger runs.
+_VERTEX_LIMIT = 1000
+
 
 class CLIError(Exception):
     """Input or usage problem; reported on stderr with exit code 2."""
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > _VERTEX_LIMIT:
+        raise CLIError(f"{n} vertices exceed the limit of {_VERTEX_LIMIT} vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +74,7 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise CLIError(f'edge-list header must be "n m", got {rows[0]!r}') from None
+    _check_vertex_count(n)
     if len(rows) - 1 != m:
         raise CLIError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []
@@ -108,6 +120,7 @@ def parse_graph6(text: str) -> Graph:
         idx = 8
     else:
         raise CLIError("graph6 input is truncated")
+    _check_vertex_count(n)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - idx != nbytes:
@@ -138,6 +151,7 @@ def parse_builtin(spec: str) -> Graph:
         n = int(num)
     except ValueError:
         raise CLIError(f"builtin size must be an integer, got {num!r}") from None
+    _check_vertex_count(2 * n + 1 if kind == "mycielski-cycle" else n)
     try:
         if kind == "path":
             return path_graph(n)
@@ -453,6 +467,13 @@ def main(argv=None) -> int:
         elapsed_ms = (time.perf_counter() - start) * 1000.0
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(
+            f"error: the input needs more than Python's recursion limit of "
+            f"{sys.getrecursionlimit()} frames",
+            file=sys.stderr,
+        )
         return 2
     except Exception as exc:
         # Exit 1 means "counterexample found", so a crash must not reach it.

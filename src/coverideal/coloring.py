@@ -217,24 +217,17 @@ def _ceil_frac(num: int, den: int) -> int:
     return -(-num // den)
 
 
-def _greedy_multicover(sets, b: int, n: int) -> list[int]:
-    deficits = [b] * n
-    chosen: list[int] = []
-    while max(deficits) > 0:
-        best, best_cov = -1, -1
-        for i, s in enumerate(sets):
-            cov = sum(1 for v in s if deficits[v] > 0)
-            if cov > best_cov:
-                best, best_cov = i, cov
-        chosen.append(best)
-        for v in sets[best]:
-            if deficits[v]:
-                deficits[v] -= 1
-    return chosen
+def _multicover(sets, need, budget: int) -> list[int] | None:
+    """At most budget sets (indices, with repetition) covering each point v
+    at least need[v] times, or None.
 
-
-def _multicover_decision(sets, member, b, n, budget, alpha):
-    """A multiset of <= budget independent sets covering every vertex b times, or None."""
+    Depth-first on the uncovered point in the fewest sets (then the lowest
+    index), pruned when one deficit or the deficit total exceeds what the
+    remaining choices can cover, with memoized failure states.
+    """
+    n = len(need)
+    member = [[i for i, s in enumerate(sets) if v in s] for v in range(n)]
+    alpha = max(len(s) for s in sets)
     fail: set[tuple] = set()
 
     def dfs(deficits: tuple[int, ...], k: int):
@@ -261,7 +254,7 @@ def _multicover_decision(sets, member, b, n, budget, alpha):
         fail.add(key)
         return None
 
-    return dfs(tuple([b] * n), budget)
+    return dfs(tuple(need), budget)
 
 
 def _coloring_from_sets(G: Graph, b: int, chosen, sets) -> Coloring:
@@ -280,27 +273,22 @@ def b_fold_chromatic(G: Graph, b: int) -> tuple[int, Coloring]:
 
     Minimizes the size of a multiset of maximal independent sets covering
     every vertex at least b times (any optimal b-fold coloring can be put
-    in that form), by branch and bound between combinatorial lower bounds
-    and a deterministic greedy incumbent.
+    in that form).  Budgets are tried upward from combinatorial and LP
+    lower bounds, each decided by the exact search of :func:`_multicover`;
+    the first that succeeds is chi_b.
     """
     if G.n < 1:
         raise ValueError("b-fold chromatic number needs at least one vertex")
     if b < 1:
         raise ValueError("fold count must be >= 1")
     sets = maximal_independent_sets(G)
-    member = [[i for i, s in enumerate(sets) if v in s] for v in range(G.n)]
-    alpha = max(len(s) for s in sets)
-    lb = max(b, _ceil_frac(b * G.n, alpha))
-    lb = max(lb, b * len(_greedy_clique(_masks(G))))
+    d = max(b, _ceil_frac(b * G.n, max(len(s) for s in sets)))
+    d = max(d, b * len(_greedy_clique(_masks(G))))
     if len(sets) <= lp._SET_LIMIT:
         value, _ = fractional_value(G)
-        lb = max(lb, _ceil_frac(b * value.numerator, value.denominator))
-    chosen = _greedy_multicover(sets, b, G.n)
-    for d in range(lb, len(chosen)):
-        sel = _multicover_decision(sets, member, b, G.n, d, alpha)
-        if sel is not None:
-            chosen = sel
-            break
+        d = max(d, _ceil_frac(b * value.numerator, value.denominator))
+    while (chosen := _multicover(sets, [b] * G.n, d)) is None:
+        d += 1
     return len(chosen), _coloring_from_sets(G, b, chosen, sets)
 
 

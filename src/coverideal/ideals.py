@@ -36,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .coloring import _multicover
 from .graphs import Graph, minimal_vertex_covers
 
 __all__ = [
@@ -297,10 +298,11 @@ def contains(I: MonomialIdeal, m: Monomial) -> bool:
 def contains_in_power(J: MonomialIdeal, d: int, m: Monomial) -> bool:
     """Whether m lies in the d-th power of the squarefree ideal J.
 
-    Decided exactly: search for d generators (with repetition) whose
-    exponent sum divides m, with memoized failure states.  Coordinates are
-    capped at the remaining choice count, which is sound because every
-    generator is squarefree.
+    Decided exactly as a covering.  d generators (with repetition) have an
+    exponent sum dividing m exactly when the complements of their supports
+    cover each variable v at least d - m_v times, and extra sets only add
+    cover, so m is in J^d iff :func:`coloring._multicover` finds at most d
+    complements meeting those demands.
     """
     m = tuple(m)
     if len(m) != J.nvars:
@@ -311,31 +313,8 @@ def contains_in_power(J: MonomialIdeal, d: int, m: Monomial) -> bool:
         return False
     if any(e > 1 for g in J.gens for e in g):
         raise ValueError("contains_in_power expects a squarefree ideal")
-    gens = [tuple(g) for g in J.gens]
-    degs = [sum(g) for g in gens]
-    min_deg = min(degs)
-    if d * min_deg > sum(m):
-        return False
-    fail: set[tuple] = set()
-
-    def dfs(rem: Monomial, k: int, start: int) -> bool:
-        if k == 0:
-            return True
-        if sum(rem) < k * min_deg:
-            return False
-        key = (rem, k, start)
-        if key in fail:
-            return False
-        for i in range(start, len(gens)):
-            g = gens[i]
-            if all(e <= r for e, r in zip(g, rem)):
-                nxt = tuple(min(r - e, k - 1) for e, r in zip(g, rem))
-                if dfs(nxt, k - 1, i):
-                    return True
-        fail.add(key)
-        return False
-
-    return dfs(tuple(min(e, d) for e in m), d, 0)
+    sets = [frozenset(v for v, e in enumerate(g) if not e) for g in J.gens]
+    return _multicover(sets, [max(d - e, 0) for e in m], d) is not None
 
 
 def b_fold_via_membership(G: Graph, b: int) -> int:

@@ -72,3 +72,22 @@ def monomial_ideals(draw, max_vars: int = 5, max_gens: int = 6, max_exp: int = 4
     if not gens:
         gens = [tuple([1] + [0] * (nvars - 1))]
     return nvars, tuple(gens)
+
+
+@st.composite
+def squarefree_ideals(draw, max_vars: int = 6, max_gens: int = 5):
+    """Random nonzero squarefree ideal as (nvars, generator tuples).
+
+    Any 0/1 generators, the unit ideal included; one variable may be put
+    in every generator, and the full-support generator may be added.
+    """
+    nvars = draw(st.integers(min_value=1, max_value=max_vars))
+    gens = draw(
+        st.lists(st.tuples(*[st.integers(0, 1)] * nvars), min_size=1, max_size=max_gens)
+    )
+    shared = draw(st.none() | st.integers(min_value=0, max_value=nvars - 1))
+    if shared is not None:
+        gens = [g[:shared] + (1,) + g[shared + 1:] for g in gens]
+    if draw(st.booleans()):
+        gens.append((1,) * nvars)
+    return nvars, tuple(gens)

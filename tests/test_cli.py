@@ -1,6 +1,7 @@
 """Command-line surface tests: parsing, report shape, exit codes, determinism."""
 
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import coverideal
 from conftest import graphs
 from coverideal import cli, lp
-from coverideal.cli import CLIError, main, parse_edge_list, parse_graph6
+from coverideal.cli import CLIError, main, parse_builtin, parse_edge_list, parse_graph6
 from coverideal.graphs import build_graph, family, kneser_graph
 
 
@@ -384,6 +385,30 @@ class TestInputChannels:
             code, _, err = run_cli(capsys, "invariants", "--builtin", spec)
             assert code == 2, spec
 
+    @pytest.mark.parametrize(
+        "argv,stdin,n",
+        [
+            (["--edge-list", "-"], "2000000 0\n", 2000000),
+            (["--edge-list", "-"], "99999999 0\n", 99999999),
+            (["--builtin", "cycle:1001"], "", 1001),
+            (["--builtin", "mycielski-cycle:500"], "", 1001),
+            # Long-form graph6 header for n = 1001, with no body.
+            (["--graph6", "~?Nh"], "", 1001),
+        ],
+        ids=["edge_list_2e6", "edge_list_1e8", "cycle", "mycielski_cycle", "graph6"],
+    )
+    def test_vertex_limit_exits_2(self, capsys, monkeypatch, argv, stdin, n):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "invariants", *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == f"error: {n} vertices exceed the limit of {cli._VERTEX_LIMIT} vertices\n"
+
+    def test_vertex_limit_is_inclusive(self):
+        assert parse_builtin(f"cycle:{cli._VERTEX_LIMIT}").n == cli._VERTEX_LIMIT
+        assert parse_edge_list(f"{cli._VERTEX_LIMIT} 0\n").n == cli._VERTEX_LIMIT
+
 
 _DEGENERATE_GRAPHS = {
     "n0": "0 0\n",
@@ -508,6 +533,19 @@ class TestInternalErrors:
         assert code == 3
         assert out == ""
         assert err == "internal error: RuntimeError: boom\n"
+
+    def test_recursion_limit_exits_2(self, capsys):
+        # Colouring complete:300 recurses once per vertex, past a limit set
+        # 150 frames above this test's depth.
+        old_limit = sys.getrecursionlimit()
+        limit = len(inspect.stack(0)) + 150
+        sys.setrecursionlimit(limit)
+        try:
+            code, out, err = run_cli(capsys, "invariants", "--builtin", "complete:300")
+        finally:
+            sys.setrecursionlimit(old_limit)
+        assert code == 2 and out == ""
+        assert err == f"error: the input needs more than Python's recursion limit of {limit} frames\n"
 
 
 class TestConsoleEntryPoint:

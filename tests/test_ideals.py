@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import graphs_with_edges, monomial_ideals
+from conftest import graphs_with_edges, monomial_ideals, squarefree_ideals
 from coverideal import ideals
 from coverideal.graphs import build_graph, family, kneser_graph
 from coverideal.ideals import (
@@ -135,6 +135,7 @@ class TestMembership:
         J = cover_ideal(family("cycle", 5))
         assert contains_in_power(J, 3, (2, 2, 2, 2, 2))
         assert not contains_in_power(J, 2, (1, 1, 1, 1, 1))
+        assert not contains_in_power(monomial_ideal(5, []), 2, (2, 2, 2, 2, 2))
 
     def test_length_checked(self):
         J = cover_ideal(family("cycle", 5))
@@ -166,6 +167,17 @@ class TestMembership:
         direct = contains_in_power(J, d, m)
         assert direct == contains(power(J, d), m)
         assert direct == brute_contains_in_power(J.gens, d, m)
+
+    @given(squarefree_ideals(), st.integers(1, 4), st.data())
+    def test_power_membership_on_squarefree_ideals(self, ideal, d, data):
+        # Generators need not be vertex covers: a variable in every generator
+        # has a complement in no covering set, the full support an empty one.
+        nv, gens = ideal
+        J = monomial_ideal(nv, gens)
+        m = tuple(data.draw(st.integers(0, d + 1)) for _ in range(nv))
+        direct = contains_in_power(J, d, m)
+        assert direct == brute_contains_in_power(J.gens, d, m)
+        assert direct == contains(power(J, d), m)
 
 
 class TestBFoldViaMembership:
