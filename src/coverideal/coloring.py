@@ -1,18 +1,19 @@
 """Exact chromatic invariants: chi, criticality, b-fold and fractional chromatic numbers.
 
-Colorability is decided on the adjacency bitmasks of ``graphs._masks``,
-restricted to a vertex subset given as a mask, so a vertex deletion in
+Colorability has one search, ``_colorable``, on the bitmasks of
+``graphs._masks`` restricted to a vertex mask, so a vertex deletion in
 the criticality test is one cleared bit, not a rebuilt graph.
 ``chromatic_number`` and ``fractional_value`` are memoized by graph.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import Graph, _component, _masks, maximal_independent_sets
+from .graphs import Graph, _component, _masks, _members, maximal_independent_sets
 from . import lp
 from .lp import solve_cover_lp
 
@@ -28,10 +29,6 @@ __all__ = [
     "coloring_is_proper",
     "certificate_is_valid",
 ]
-
-# Multiples of den(chi_f) tried when searching for a b with chi_b = b * chi_f.
-_ACHIEVING_CAP = 8
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -67,44 +64,36 @@ def _greedy_clique(masks: list[int]) -> list[int]:
     clique: list[int] = []
     cand = (1 << len(masks)) - 1
     while cand:
-        best, best_deg = -1, -1
-        mm = cand
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            v = bit.bit_length() - 1
-            d = (masks[v] & cand).bit_count()
-            if d > best_deg:
-                best, best_deg = v, d
+        best = max(_members(cand), key=lambda v: (masks[v] & cand).bit_count())
         clique.append(best)
         cand &= masks[best]
     return clique
 
 
-def _k_color(masks: list[int], k: int) -> list[int] | None:
-    """One k-coloring as a color list, or None.
+def _colorable(masks: list[int], k: int, alive: int) -> list[int] | None:
+    """A k-coloring of the subgraph induced on the bitmask ``alive``, or None.
 
-    Backtracking in saturation order (fewest available colors first, then
-    most uncolored neighbors, then lowest index), trying the lowest
-    available color first.  Two symmetry breaks keep the search exact but
-    small: a brand-new color may only be the next unused one, and vertices
-    with equal closed neighborhoods take strictly increasing colors.
+    Each component, lowest vertex first, is colored in place by backtracking
+    in saturation order (fewest available colors first, then most uncolored
+    neighbors, then lowest vertex), trying the lowest available color first.
+    Two symmetry breaks keep the search exact but small: a brand-new color
+    may only be the component's next unused one, and vertices with equal
+    closed neighborhoods take strictly increasing colors.  Vertices outside
+    ``alive`` keep -1.
     """
     n = len(masks)
-    twin = _twin_prev(masks)
-    full = (1 << k) - 1
-    avail = [full] * n
+    nbrs = [m & alive for m in masks]
+    twin = _twin_prev(nbrs)
+    avail = [(1 << k) - 1] * n
     n_avail = [k] * n
-    unc_deg = [m.bit_count() for m in masks]
+    unc_deg = [m.bit_count() for m in nbrs]
     color = [-1] * n
-    max_used = -1
 
-    def search(remaining: int) -> bool:
-        nonlocal max_used
+    def search(vs: list[int], remaining: int, max_used: int) -> bool:
         if remaining == 0:
             return True
         v, v_key = -1, None
-        for u in range(n):
+        for u in vs:
             if color[u] >= 0:
                 continue
             t = twin[u]
@@ -120,14 +109,11 @@ def _k_color(masks: list[int], k: int) -> list[int] | None:
             bit = cand & -cand
             cand ^= bit
             c = bit.bit_length() - 1
-            old_max = max_used
-            if c > max_used:
-                max_used = c
             color[v] = c
             touched: list[int] = []
             removed: list[int] = []
             wiped = False
-            mm = masks[v]
+            mm = nbrs[v]
             while mm:
                 nb = mm & -mm
                 mm ^= nb
@@ -141,7 +127,7 @@ def _k_color(masks: list[int], k: int) -> list[int] | None:
                         removed.append(u)
                         if n_avail[u] == 0:
                             wiped = True
-            if not wiped and search(remaining - 1):
+            if not wiped and search(vs, remaining - 1, c if c > max_used else max_used):
                 return True
             for u in removed:
                 avail[u] |= bit
@@ -149,29 +135,14 @@ def _k_color(masks: list[int], k: int) -> list[int] | None:
             for u in touched:
                 unc_deg[u] += 1
             color[v] = -1
-            max_used = old_max
         return False
 
-    return list(color) if search(n) else None
-
-
-def _colorable(masks: list[int], k: int, alive: int) -> list[int] | None:
-    """A k-coloring of the subgraph induced on the bitmask ``alive``, or None.
-
-    Solved one component at a time, lowest vertex first, each component
-    renumbered in ascending vertex order for :func:`_k_color`.  The list is
-    indexed by vertex; vertices outside ``alive`` keep -1.
-    """
-    color = [-1] * len(masks)
     while alive:
         comp = _component(masks, alive)
         alive ^= comp
-        vs = [v for v in range(len(masks)) if comp >> v & 1]
-        sub = _k_color([sum(1 << i for i, u in enumerate(vs) if masks[v] >> u & 1) for v in vs], k)
-        if sub is None:
+        vs = _members(comp)
+        if not search(vs, len(vs), -1):
             return None
-        for v, c in zip(vs, sub):
-            color[v] = c
     return color
 
 
@@ -180,7 +151,7 @@ def chromatic_number(G: Graph) -> tuple[int, Coloring | None]:
     """Exact chromatic number with a deterministic witness.
 
     Iterative deepening on k starting from a greedy clique lower bound;
-    each k is decided by the exact backtracking in :func:`_k_color`.
+    each k is decided by the exact backtracking in :func:`_colorable`.
     """
     if G.n == 0:
         return 0, None
@@ -297,17 +268,18 @@ def fractional_chromatic(G: Graph) -> tuple[Fraction, FractionalCertificate, int
 
     The value comes from the exact rational covering LP over all maximal
     independent sets.  The returned b is the smallest multiple of the
-    value's denominator with chi_b = b * chi_f (such a b always exists;
-    no minimality over all b is claimed).
+    value's denominator with chi_b = b * chi_f.  It is at most L, the lcm of
+    the certificate weights' denominators: L * w_S colors for each set S
+    cover every vertex L times.  No minimality over all b is claimed.
     """
     value, cert = fractional_value(G)
     den = value.denominator
-    for mult in range(1, _ACHIEVING_CAP + 1):
-        bb = den * mult
+    lcm = math.lcm(*(w.denominator for _, w in cert.weights))
+    for bb in range(den, lcm + 1, den):
         achieved, _ = b_fold_chromatic(G, bb)
         if achieved == value * bb:
             return value, cert, bb
-    raise RuntimeError("no multiple of den(chi_f) below the cap achieves the ratio")
+    raise RuntimeError("no multiple of den(chi_f) up to the certificate's lcm achieves the ratio")
 
 
 @lru_cache(maxsize=None)

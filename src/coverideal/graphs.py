@@ -5,8 +5,10 @@ Vertices are 0-based contiguous integers 0..n-1.  Classical 1-based
 variable notation x_i corresponds to vertex index i - 1 throughout.
 
 The bitmask form of a graph lives here: ``_masks`` (bit u of masks[v] is
-the edge uv) and ``_component`` (one component walk inside a vertex mask)
-serve connectivity, the isomorphism certificates and ``coloring``.
+the edge uv), ``_members`` (a mask's vertices in ascending order) and
+``_component`` (one component walk inside a vertex mask) serve
+connectivity, maximal independent sets, the isomorphism certificates and
+``coloring``.
 """
 
 from __future__ import annotations
@@ -205,23 +207,26 @@ def maximal_independent_sets(G: Graph) -> list[frozenset[int]]:
     """All maximal independent sets, sorted lexicographically by sorted members.
 
     Enumerated as maximal cliques of the complement via pivoting
-    Bron-Kerbosch.
+    Bron-Kerbosch on vertex masks, with an explicit stack, not recursion.
     """
-    nonadj = [frozenset(range(G.n)) - G.adj[v] - {v} for v in range(G.n)]
-    out: list[frozenset[int]] = []
-
-    def bk(r: frozenset[int], p: frozenset[int], x: frozenset[int]) -> None:
-        if not p and not x:
-            out.append(r)
-            return
-        pivot = max(sorted(p | x), key=lambda u: len(p & nonadj[u]))
-        for v in sorted(p - nonadj[pivot]):
-            bk(r | {v}, p & nonadj[v], x & nonadj[v])
-            p = p - {v}
-            x = x | {v}
-
-    bk(frozenset(), frozenset(range(G.n)), frozenset())
-    return sorted(out, key=lambda s: sorted(s))
+    full = (1 << G.n) - 1
+    nonadj = [full ^ m ^ (1 << v) for v, m in enumerate(_masks(G))]
+    out: list[list[int]] = []
+    stack = [(0, full, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p | x:
+            out.append(_members(r))
+            continue
+        pivot = max(_members(p | x), key=lambda u: (p & nonadj[u]).bit_count())
+        branches = []
+        for v in _members(p & ~nonadj[pivot]):
+            branches.append((r | 1 << v, p & nonadj[v], x & nonadj[v]))
+            p ^= 1 << v
+            x |= 1 << v
+        stack.extend(reversed(branches))
+    out.sort()
+    return [frozenset(s) for s in out]
 
 
 def minimal_vertex_covers(G: Graph) -> list[frozenset[int]]:
@@ -235,15 +240,23 @@ def _masks(G: Graph) -> list[int]:
     return [sum(1 << u for u in nbrs) for nbrs in G.adj]
 
 
+def _members(mask: int) -> list[int]:
+    """The vertices of a mask in ascending order."""
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length() - 1)
+    return out
+
+
 def _component(masks: list[int], alive: int) -> int:
     """Component of the lowest vertex of ``alive`` in the subgraph induced on ``alive``."""
     comp = frontier = alive & -alive
     while frontier:
         reach = 0
-        while frontier:
-            bit = frontier & -frontier
-            frontier ^= bit
-            reach |= masks[bit.bit_length() - 1]
+        for v in _members(frontier):
+            reach |= masks[v]
         frontier = reach & alive & ~comp
         comp |= frontier
     return comp

@@ -547,6 +547,27 @@ class TestInternalErrors:
         assert code == 2 and out == ""
         assert err == f"error: the input needs more than Python's recursion limit of {limit} frames\n"
 
+    LEMMA = ("verify", "--builtin", "cycle:5", "technical-lemma", "--W", "0", "--b", "1")
+
+    def test_lemma_fault_exits_3(self, capsys, monkeypatch):
+        def fault(G, W, b):
+            raise RuntimeError("simplex certificate fails to cover a point")
+
+        monkeypatch.setattr(cli, "technical_lemma_check", fault)
+        code, out, err = run_cli(capsys, *self.LEMMA)
+        assert code == 3 and out == ""
+        assert err == "internal error: RuntimeError: simplex certificate fails to cover a point\n"
+
+    def test_lemma_recursion_exits_2(self, capsys, monkeypatch):
+        def too_deep(G, W, b):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "technical_lemma_check", too_deep)
+        code, out, err = run_cli(capsys, *self.LEMMA)
+        assert code == 2 and out == ""
+        limit = sys.getrecursionlimit()
+        assert err == f"error: the input needs more than Python's recursion limit of {limit} frames\n"
+
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self):

@@ -6,6 +6,7 @@ n/alpha bound before implementation.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,7 @@ class TestFractional:
         assert certificate_is_valid(G, cert)
         assert cert.total == value
         assert b_fold_chromatic(G, achieving_b)[0] == value * achieving_b
+        assert achieving_b <= math.lcm(*(w.denominator for _, w in cert.weights))
 
     def test_achieving_b_for_C5(self):
         _, _, achieving_b = fractional_chromatic(family("cycle", 5))

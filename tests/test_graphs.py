@@ -5,6 +5,7 @@ before the implementation was written.
 """
 
 import itertools
+import time
 from math import factorial
 
 import networkx as nx
@@ -335,6 +336,19 @@ class TestIndependentSets:
     def test_edgeless_graph_has_single_mis(self):
         G = build_graph(3, [])
         assert maximal_independent_sets(G) == [frozenset({0, 1, 2})]
+
+    # The enumeration goes one level deeper per vertex added to a set, so
+    # these inputs need a stack far deeper than Python's recursion limit.
+    def test_1200_isolated_vertices(self):
+        start = time.perf_counter()
+        assert maximal_independent_sets(build_graph(1200, [])) == [frozenset(range(1200))]
+        assert time.perf_counter() - start < 2.0
+
+    def test_star_on_1200_vertices(self):
+        G = build_graph(1200, [(0, v) for v in range(1, 1200)])
+        start = time.perf_counter()
+        assert maximal_independent_sets(G) == [frozenset({0}), frozenset(range(1, 1200))]
+        assert time.perf_counter() - start < 2.0
 
 
 class TestIsomorphism:
