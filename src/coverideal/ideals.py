@@ -3,13 +3,12 @@
 Monomials are exponent tuples indexed by vertex.  All operations are exact
 and return canonically sorted data so that equal ideals print identically.
 
-Row encoding.  Every exponent matrix that is minimalized or screened is
-first rank-compressed column by column: an exponent is replaced by its
-index among the sorted distinct values its column can take in that step
-(the given generators in ``monomial_ideal``, every pairwise sum in
-``multiply``, zero and the dual exponents along the duality chain).
-Ranks preserve every ``<=`` and ``max`` within a column, so divisibility,
-lcms with pure powers and the row-lex order read the same on ranks as on
+Row encoding.  Every exponent matrix that is minimalized is first
+rank-compressed column by column: an exponent is replaced by its index
+among the sorted distinct values its column can take in that step (the
+given generators in ``monomial_ideal``, every pairwise sum in
+``multiply``).  Ranks preserve every ``<=`` and ``max`` within a column,
+so divisibility and the row-lex order read the same on ranks as on
 exponents, and the rank sum is a degree under which a proper divisor
 always has the smaller degree.  The ranks are packed into ``(N, W)``
 uint64 words.  Variable v gets a field of ``bitlen(max rank of v) + 1``
@@ -20,6 +19,16 @@ invariant is that every stored row has all its guard bits clear.  With
 H the words of guard bits, ``((b | H) - a) & H`` then keeps the guard of
 exactly the fields where a <= b, and no borrow crosses a field, so a
 divides b iff that equals H in every word.  W is set by the data.
+
+Bit-sliced chain.  The duality chain of ``irreducible_decomposition``
+ranks its rows the same way (zero and the dual exponents of each
+column) but stores them transposed: rows live in numbered slots, and for
+each variable v and rank r one Python int holds the bits of the slots
+whose rank at v exceeds r.  Whether a row lies inside an irreducible
+ideal, or is divided by some row of K, is then a few ORs and ANDs of
+those ints, which screen 64 slots per machine word.  Dead slots are
+renumbered away once they outnumber the live ones, so each int stays
+within about twice the size of K.
 
 Exponent limit.  Exponents are read into uint64 before they are ranked,
 so every exponent a step computes must stay below 2**64: the generators
@@ -33,11 +42,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import or_
 
 import numpy as np
 
 from .coloring import _multicover
-from .graphs import Graph, minimal_vertex_covers
+from .graphs import Graph, _members, minimal_vertex_covers
 
 __all__ = [
     "Monomial",
@@ -135,10 +146,9 @@ class _RowCode:
         """
         return (R.astype(np.uint64) << self.shift) @ self.in_word
 
-    def ranks(self, P: np.ndarray, cols=slice(None)) -> np.ndarray:
-        """Ranks of the chosen columns of packed rows, as an intp matrix."""
-        fields = P[:, self.word[cols]] >> self.shift[cols]
-        return (fields & self.rank_mask[cols]).astype(np.intp)
+    def ranks(self, P: np.ndarray) -> np.ndarray:
+        """Ranks of packed rows, as an intp matrix."""
+        return ((P[:, self.word] >> self.shift) & self.rank_mask).astype(np.intp)
 
     def decode(self, P: np.ndarray) -> np.ndarray:
         """Exponent matrix of packed rows."""
@@ -351,57 +361,115 @@ class IrreducibleIdeal:
         return tuple(v for v, _ in self.exps), tuple(e for _, e in self.exps)
 
 
-def _meet_irreducible(K, degs, sig, packed_sig, support_guard, code: _RowCode):
-    """Minimal packed rows of K meet the irreducible ideal with rank row sig.
-
-    For monomial ideals the intersection distributes over generator sums,
-    and meeting one pure power x_v^e sends each row g to lcm(g, x_v^e);
-    minimalizing the union of those images over the support of sig gives
-    the answer.  Rows already inside the irreducible ideal are fixed by
-    the intersection and pass through untouched: every image is a proper
-    multiple of a row of K, so an image dividing a passed row would make
-    that row non-minimal in K.  Only the images of the other rows need
-    screening, so the per-step cost scales with the number of raised
-    rows, not with the size of K.  A raised row is below sig on every
-    support field, so its lcm with x_v^e just writes sig's field v.
-    """
-    support = np.flatnonzero(sig)
-    # One guarded subtraction: a support field keeps its guard iff the row
-    # reaches sig's exponent there.
-    inside = (((K | code.guard) - packed_sig) & support_guard).any(axis=1)
-    if inside.all():
-        return K, degs
-    rest, rest_degs = K[~inside], degs[~inside]
-    k = np.arange(len(support))
-    words, shifts = code.word[support], code.shift[support]
-    clear = np.full((len(support), code.words), ~np.uint64(0))
-    clear[k, words] = ~(code.rank_mask[support] << shifts)
-    write = np.zeros((len(support), code.words), dtype=np.uint64)
-    write[k, words] = sig[support].astype(np.uint64) << shifts
-    images = ((rest[None] & clear[:, None]) | write[:, None]).reshape(-1, code.words)
-    raised = sig[support] - code.ranks(rest, support)
-    image_degs = (rest_degs[:, None] + raised).T.ravel()
-    cand, cand_degs = _minimalize(images, image_degs, code.guard)
-    passed, passed_degs = K[inside], degs[inside]
-    if len(passed):
-        new = ~_divided(cand, passed, code.guard)
-        cand, cand_degs = cand[new], cand_degs[new]
-    return np.concatenate([passed, cand]), np.concatenate([passed_degs, cand_degs])
-
-
-def _dual_ranks(I: MonomialIdeal) -> tuple[np.ndarray, np.ndarray, _RowCode]:
+def _dual_ranks(I: MonomialIdeal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Componentwise maximum a of the generators, the ranks of their dual
-    exponents (one row per generator) and the row code of the chain.
+    exponents (one row per generator) and the value table of those ranks.
 
     Every row along the chain is an lcm of dual pure powers, so its
-    exponents are zero or dual exponents: one code serves the whole chain,
-    and rows are encoded once and decoded once.
+    exponents are zero or dual exponents: one value table serves the whole
+    chain, rank 0 is exponent 0, and rows are ranked once and decoded once.
     """
     M = _exponent_matrix(I.gens, I.nvars, _max_exponent(I.gens) + 1)
     amax = M.max(axis=0)
     sigmas = np.where(M > 0, amax + 1 - M, np.uint64(0))
     values, R = _rank_columns(np.vstack([sigmas, np.zeros((1, I.nvars), dtype=np.uint64)]))
-    return amax, R[:-1], _RowCode(values)
+    return amax, R[:-1], values
+
+
+class _SlicedRows:
+    """The chain's rows K, transposed into per-field bitsets over row slots.
+
+    ``rows[slot]`` is a rank tuple, or None once the row has died; ``alive``
+    is the bitset of live slots and ``above[v][r]`` the bitset of slots
+    whose rank at v exceeds r (so ``above[v][-1]``, past the largest rank,
+    stays 0).  Bits of dead slots may linger in ``above``; every screen
+    masks them with ``alive``.  K starts as the unit ideal, one zero row.
+    """
+
+    def __init__(self, tops: list[int]):
+        self.tops = tops
+        self.rows = [(0,) * len(tops)]
+        self.live = self.alive = 1
+        self.above = [[0] * (t + 1) for t in tops]
+
+    def renumber(self) -> None:
+        """Give the live rows slots 0..live-1 in order and rebuild the bitsets."""
+        self.rows = [g for g in self.rows if g is not None]
+        ranks = np.array(self.rows, dtype=np.intp)
+        self.above = [
+            [
+                int.from_bytes(b.tobytes(), "little")
+                for b in np.packbits(ranks[:, v] > np.arange(t)[:, None], axis=1, bitorder="little")
+            ]
+            + [0]
+            for v, t in enumerate(self.tops)
+        ]
+        self.alive = (1 << len(self.rows)) - 1
+
+    def meet(self, sig: tuple[int, ...]) -> None:
+        """K becomes the minimal rows of K meet the irreducible ideal with ranks sig.
+
+        For monomial ideals the intersection distributes over generator
+        sums, and meeting one pure power x_v^e sends each row g to
+        lcm(g, x_v^e); the minimal rows of the union of those images over
+        the support of sig are the answer.  Rows already inside the
+        irreducible ideal are fixed and stay minimal: every image is a
+        proper multiple of a row of K, so an image dividing a passed row
+        would make that row non-minimal in K.  A raised row g is below
+        sig on the whole support, so its image c_v just writes sig_v at v,
+        and a live row h fails to divide c_v iff h exceeds g away from v
+        or exceeds sig_v at v.  Images of one g never divide each other,
+        so all of g's images are screened before any is added; a kept
+        image then evicts the rows added earlier in this step that it
+        divides (a passed row cannot be one, by K's minimality).
+        """
+        above, rows = self.above, self.rows
+        support = [v for v, r in enumerate(sig) if r]
+        inside = 0
+        for v in support:
+            inside |= above[v][sig[v] - 1]
+        raised = self.alive & ~inside
+        if not raised:
+            return
+        alive = self.alive & inside
+        new = 0
+        live = self.live
+        for slot in _members(raised):
+            g = rows[slot]
+            rows[slot] = None
+            live -= 1
+            terms = [above_u[r] for above_u, r in zip(above, g)]
+            before = list(accumulate(terms, or_, initial=0))
+            after = list(accumulate(reversed(terms), or_, initial=0))[::-1]
+            kept = [
+                v
+                for v in support
+                if not alive & ~(before[v] | after[v + 1] | above[v][sig[v]])
+            ]
+            for v in kept:
+                c = g[:v] + (sig[v],) + g[v + 1 :]
+                multiples = new & alive
+                for above_u, r in zip(above, c):
+                    if not multiples:
+                        break
+                    if r:
+                        multiples &= above_u[r - 1]
+                if multiples:
+                    alive &= ~multiples
+                    for dead in _members(multiples):
+                        rows[dead] = None
+                        live -= 1
+                bit = 1 << len(rows)
+                rows.append(c)
+                for above_u, r in zip(above, c):
+                    for k in range(r):
+                        above_u[k] |= bit
+                alive |= bit
+                new |= bit
+                live += 1
+        self.alive, self.live = alive, live
+        if len(rows) > 2 * live:
+            self.renumber()
 
 
 @lru_cache(maxsize=None)
@@ -414,7 +482,10 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
     a_v + 1 - m_v on the support of m; the components of I are read off
     the minimal generators of the intersection of those ideals by the
     same exponent flip.  The intersection is built one generator at a
-    time from the unit ideal, keeping intermediate generator sets minimal.
+    time, in the generators' lex order, from the unit ideal, keeping the
+    intermediate generator set K minimal.  K is held bit-sliced
+    (``_SlicedRows``), so each step's inside test and divisor screens are
+    a few big-int operations over all of K at once.
 
     Memoized by ideal (``cache_info()``, ``cache_clear()``): a persistence
     check decomposes each power twice, as J^(s+1) and as the next J^s.
@@ -423,16 +494,15 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
         raise ValueError("the zero ideal has no irreducible decomposition")
     if any(sum(g) == 0 for g in I.gens):
         raise ValueError("the unit ideal has no irreducible decomposition")
-    amax, R, code = _dual_ranks(I)
-    K = np.zeros((1, code.words), dtype=np.uint64)
-    degs = np.zeros(1, dtype=np.intp)
-    packed, guards = code.pack(R), code.pack((R > 0) * (code.rank_mask + 1))
-    for sig, packed_sig, support_guard in zip(R, packed, guards):
-        K, degs = _meet_irreducible(K, degs, sig, packed_sig, support_guard, code)
+    amax, R, values = _dual_ranks(I)
+    K = _SlicedRows(R.max(axis=0).tolist())
+    for sig in map(tuple, R.tolist()):
+        K.meet(sig)
+    ranks = np.array([g for g in K.rows if g is not None], dtype=np.intp)
     top = [a + 1 for a in amax.tolist()]
     comps = [
         IrreducibleIdeal(I.nvars, tuple((v, top[v] - e) for v, e in enumerate(c) if e))
-        for c in code.decode(K).tolist()
+        for c in values[ranks, np.arange(I.nvars)].tolist()
     ]
     return tuple(sorted(comps, key=IrreducibleIdeal.sort_key))
 

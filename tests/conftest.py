@@ -58,10 +58,12 @@ def graphs_with_edges(draw, min_n: int = 2, max_n: int = 6) -> Graph:
 
 
 @st.composite
-def monomial_ideals(draw, max_vars: int = 5, max_gens: int = 6, max_exp: int = 4):
+def monomial_ideals(
+    draw, max_vars: int = 5, max_gens: int = 6, max_exp: int = 4, min_vars: int = 1, min_gens: int = 1
+):
     """Random proper nonzero monomial ideal as (nvars, generator tuples)."""
-    nvars = draw(st.integers(min_value=1, max_value=max_vars))
-    ngens = draw(st.integers(min_value=1, max_value=max_gens))
+    nvars = draw(st.integers(min_value=min_vars, max_value=max_vars))
+    ngens = draw(st.integers(min_value=min_gens, max_value=max_gens))
     gens = []
     for _ in range(ngens):
         g = tuple(

@@ -14,7 +14,6 @@ from coverideal import ideals
 from coverideal.graphs import build_graph, family, kneser_graph
 from coverideal.ideals import (
     IrreducibleIdeal,
-    _dual_ranks,
     associated_primes,
     b_fold_via_membership,
     contains,
@@ -324,6 +323,12 @@ class TestDecompositionEngines:
         I = monomial_ideal(nvars, gens)
         assert irreducible_decomposition(I) == splitting_decomposition(I)
 
+    @given(monomial_ideals(max_vars=7, max_gens=20, max_exp=3, min_vars=5, min_gens=8))
+    def test_engines_agree_on_wider_random_ideals(self, data):
+        nvars, gens = data
+        I = monomial_ideal(nvars, gens)
+        assert irreducible_decomposition(I) == splitting_decomposition(I)
+
     def test_engines_agree_on_cover_ideal_powers(self):
         expected = {
             ("cycle", 5, 3): 20,
@@ -459,12 +464,87 @@ def _complete_multipartite(*parts):
     return build_graph(sum(parts), edges)
 
 
+def _irreducible(nvars, **exps):
+    """Irreducible ideal in x, y, z, ... given as x=1, z=2 and so on."""
+    return IrreducibleIdeal(nvars, tuple(sorted(("xyz".index(v), e) for v, e in exps.items())))
+
+
+class TestBitSlicedChain:
+    """Each branch of one step of the duality chain, against the oracles.
+
+    In the hand-worked cases the variables are x, y, z; the chain meets the
+    duals of the generators in lex order, starting from the unit ideal, and
+    K is its running generator set in dual exponents.
+    """
+
+    def test_kept_image_evicts_a_row_of_the_same_step(self):
+        # The duals are (y, z) and then (x, z^2), which raises both rows
+        # of K = {y, z}: y's images x*y and y*z^2 are added, then z's image
+        # z^2 divides y*z^2 and evicts it.  K ends as {x*y, x*z, z^2}.
+        I = monomial_ideal(3, [(0, 1, 2), (1, 0, 1)])
+        expected = (_irreducible(3, x=1, y=1), _irreducible(3, x=1, z=2), _irreducible(3, z=1))
+        assert irreducible_decomposition(I) == splitting_decomposition(I) == expected
+
+    def test_image_divided_by_a_passed_row(self):
+        # The duals are (y, z) and then (x, y): y passes, and z's image y*z
+        # is divided by it.  K ends as {y, x*z}.
+        I = monomial_ideal(3, [(0, 1, 1), (1, 1, 0)])
+        expected = (_irreducible(3, x=1, z=1), _irreducible(3, y=1))
+        assert irreducible_decomposition(I) == splitting_decomposition(I) == expected
+
+    def test_image_divided_by_a_row_of_the_same_step(self):
+        # The duals are (y, z) and then (x, y^2), which raises both rows:
+        # y's image y^2 is added, then z's image y^2*z is divided by it.
+        # K ends as {x*y, y^2, x*z}.
+        I = monomial_ideal(3, [(0, 2, 1), (1, 1, 0)])
+        expected = (
+            _irreducible(3, x=1, y=2),
+            _irreducible(3, x=1, z=1),
+            _irreducible(3, y=1),
+        )
+        assert irreducible_decomposition(I) == splitting_decomposition(I) == expected
+
+    def test_step_raising_thousands_of_rows(self, monkeypatch):
+        # A new variable x_0 in front of J(K_{15,15,15})^2: the pure power
+        # x_0 is the last generator in lex order, and it raises every one
+        # of the 4725 rows of K, none of which holds x_0.  Each row keeps
+        # its one image, so the components are those of J^2 plus x_0.
+        G = _complete_multipartite(15, 15, 15)
+        J = power(cover_ideal(G), 2)
+        I = monomial_ideal(46, [(0, *g) for g in J.gens] + [(1,) + (0,) * 45])
+        sizes = []
+        members = ideals._members
+        monkeypatch.setattr(ideals, "_members", lambda m: sizes.append(m.bit_count()) or members(m))
+        comps = irreducible_decomposition(I)
+        assert max(sizes) == 4725
+        expected = {
+            IrreducibleIdeal(46, ((0, 1), *((v + 1, e) for v, e in c.exps)))
+            for c in perfect_graph_components(G, 2)
+        }
+        assert len(comps) == 4725
+        assert set(comps) == expected
+
+    def test_renumbering_dead_slots(self, monkeypatch):
+        # J(C5)^3 renumbers K's slots twice along its 35 steps.
+        calls = []
+        renumber = ideals._SlicedRows.renumber
+        monkeypatch.setattr(
+            ideals._SlicedRows, "renumber", lambda self: calls.append(self.live) or renumber(self)
+        )
+        I = power(cover_ideal(family("cycle", 5)), 3)
+        irreducible_decomposition.cache_clear()
+        assert irreducible_decomposition(I) == splitting_decomposition(I)
+        irreducible_decomposition.cache_clear()
+        assert len(calls) == 2
+
+
 class TestClosedFormPerfectGraphs:
     """The engine against the perfect-graph closed form past brute-force size.
 
-    The graphs are chosen so the chain's packed rows take one word (K_21
-    fills 63 of its 64 bits), spill one field into a second word
-    (K_{11,11}) and take three words (K_{15,15,15}).
+    The graphs are chosen so the generators' packed rows, as
+    ``monomial_ideal`` packs them, take one word (K_21 fills 63 of its 64
+    bits), spill one field into a second word (K_{11,11}) and take three
+    words (K_{15,15,15}).
     """
 
     @pytest.mark.parametrize(
@@ -481,7 +561,8 @@ class TestClosedFormPerfectGraphs:
     )
     def test_components_match_closed_form(self, G, s, words, count):
         I = power(cover_ideal(G), s)
-        assert _dual_ranks(I)[2].words == words
+        values, _ = ideals._rank_columns(ideals._exponent_matrix(I.gens, I.nvars, s))
+        assert ideals._RowCode(values).words == words
         comps = irreducible_decomposition(I)
         expected = perfect_graph_components(G, s)
         assert len(comps) == count
