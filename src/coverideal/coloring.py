@@ -1,7 +1,7 @@
 """Exact chromatic invariants: chi, criticality, b-fold and fractional chromatic numbers.
 
-Colorability has one search, ``_colorable``, on the bitmasks of
-``graphs._masks`` restricted to a vertex mask, so a vertex deletion in
+Colorability has one search, ``_colorable``, on a graph's neighborhood
+bitmasks ``G.masks`` restricted to a vertex mask, so a vertex deletion in
 the criticality test is one cleared bit, not a rebuilt graph.
 ``chromatic_number`` and ``fractional_value`` are memoized by graph.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graphs import Graph, _component, _masks, _members, maximal_independent_sets
+from .graphs import Graph, _component, _members, maximal_independent_sets
 from . import lp
 from .lp import solve_cover_lp
 
@@ -59,7 +59,7 @@ def _twin_prev(masks: list[int]) -> list[int]:
     return prev
 
 
-def _greedy_clique(masks: list[int]) -> list[int]:
+def _greedy_clique(masks: tuple[int, ...]) -> list[int]:
     """Deterministic greedy clique; only used as a chromatic lower bound."""
     clique: list[int] = []
     cand = (1 << len(masks)) - 1
@@ -70,7 +70,7 @@ def _greedy_clique(masks: list[int]) -> list[int]:
     return clique
 
 
-def _colorable(masks: list[int], k: int, alive: int) -> list[int] | None:
+def _colorable(masks: tuple[int, ...], k: int, alive: int) -> list[int] | None:
     """A k-coloring of the subgraph induced on the bitmask ``alive``, or None.
 
     Each component, lowest vertex first, is colored in place by backtracking
@@ -155,10 +155,9 @@ def chromatic_number(G: Graph) -> tuple[int, Coloring | None]:
     """
     if G.n == 0:
         return 0, None
-    masks = _masks(G)
-    lower = max(1, len(_greedy_clique(masks)))
+    lower = max(1, len(_greedy_clique(G.masks)))
     for k in range(lower, G.n + 1):
-        colors = _colorable(masks, k, (1 << G.n) - 1)
+        colors = _colorable(G.masks, k, (1 << G.n) - 1)
         if colors is not None:
             witness = Coloring(
                 b=1,
@@ -178,9 +177,8 @@ def is_critical(G: Graph) -> tuple[bool, int, list[int]]:
     if G.n == 0:
         raise ValueError("criticality needs at least one vertex")
     chi, _ = chromatic_number(G)
-    masks = _masks(G)
     full = (1 << G.n) - 1
-    failing = [v for v in range(G.n) if _colorable(masks, chi - 1, full ^ (1 << v)) is None]
+    failing = [v for v in range(G.n) if _colorable(G.masks, chi - 1, full ^ (1 << v)) is None]
     return not failing, chi, failing
 
 
@@ -254,7 +252,7 @@ def b_fold_chromatic(G: Graph, b: int) -> tuple[int, Coloring]:
         raise ValueError("fold count must be >= 1")
     sets = maximal_independent_sets(G)
     d = max(b, _ceil_frac(b * G.n, max(len(s) for s in sets)))
-    d = max(d, b * len(_greedy_clique(_masks(G))))
+    d = max(d, b * len(_greedy_clique(G.masks)))
     if len(sets) <= lp._SET_LIMIT:
         value, _ = fractional_value(G)
         d = max(d, _ceil_frac(b * value.numerator, value.denominator))
@@ -329,7 +327,8 @@ def certificate_is_valid(G: Graph, cert: FractionalCertificate) -> bool:
     if any(w <= 0 for _, w in cert.weights):
         return False
     for s, _ in cert.weights:
-        if any(u in G.adj[v] for u in s for v in s):
+        mask = sum(1 << v for v in s)
+        if any(G.masks[v] & mask for v in s):
             return False
     for v in range(G.n):
         if sum((w for s, w in cert.weights if v in s), Fraction(0)) < 1:

@@ -73,9 +73,7 @@ def graphs_with_min_degree(n: int, dmin: int) -> tuple[Graph, ...]:
 
     def candidates():
         for parent in graphs_with_min_degree(n - 1, max(dmin - 1, 0)):
-            deficient = frozenset(
-                v for v in range(parent.n) if len(parent.adj[v]) < dmin
-            )
+            deficient = frozenset(v for v in range(parent.n) if parent.degree(v) < dmin)
             optional = [v for v in range(parent.n) if v not in deficient]
             need = max(dmin - len(deficient), 0)
             base_edges = parent.edges()

@@ -233,7 +233,8 @@ def persistence_sweep(graphs, s_max: int) -> SweepReport:
 
 def _is_maximal_independent(G: Graph, W: frozenset[int]) -> bool:
     """No vertex of W has a neighbour in W, and every other vertex has one."""
-    return all(bool(G.adj[v] & W) != (v in W) for v in range(G.n))
+    w = sum(1 << v for v in W)
+    return all(bool(m & w) != (v in W) for v, m in enumerate(G.masks))
 
 
 def probe_expansion(G: Graph, W) -> ConjectureWitness:

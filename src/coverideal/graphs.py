@@ -4,8 +4,8 @@ isomorphism (tests, automorphism groups, first-kept class representatives).
 Vertices are 0-based contiguous integers 0..n-1.  Classical 1-based
 variable notation x_i corresponds to vertex index i - 1 throughout.
 
-The bitmask form of a graph lives here: ``_masks`` (bit u of masks[v] is
-the edge uv), ``_members`` (a mask's vertices in ascending order) and
+A graph is its neighborhood bitmasks: bit u of ``G.masks[v]`` is the
+edge uv.  ``_members`` (a mask's vertices in ascending order) and
 ``_component`` (one component walk inside a vertex mask) serve
 connectivity, maximal independent sets, the isomorphism certificates and
 ``coloring``.
@@ -14,7 +14,7 @@ connectivity, maximal independent sets, the isomorphism certificates and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "path_graph",
     "kneser_graph",
     "induced_subgraph",
-    "delete_vertex",
     "replicate",
     "expand",
     "power_expansion",
@@ -40,46 +39,49 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph on vertices 0..n-1; a shadow's origin is its position."""
+    """Immutable simple graph on vertices 0..n-1; a shadow's origin is its position.
+
+    Bit u of ``masks[v]`` is the edge uv.
+    """
 
     n: int
-    adj: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     @property
     def m(self) -> int:
         """Number of edges."""
-        return sum(len(nbrs) for nbrs in self.adj) // 2
+        return sum(m.bit_count() for m in self.masks) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return bool(self.masks[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v, in sorted order."""
-        return [(u, v) for u in range(self.n) for v in sorted(self.adj[u]) if u < v]
+        return [(u, v) for u, m in enumerate(self.masks) for v in _members(m >> u + 1 << u + 1)]
 
 
 def build_graph(n: int, edges) -> Graph:
     """Construct a validated simple graph; duplicate edges collapse."""
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    adj = [set() for _ in range(n)]
+    masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"loop edge at vertex {u}")
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n, tuple(frozenset(a) for a in adj))
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(n, tuple(masks))
 
 
 def complement(G: Graph) -> Graph:
     """Complement graph on the same vertices, in the same order."""
-    edges = [(u, v) for u, v in combinations(range(G.n), 2) if not G.has_edge(u, v)]
-    return build_graph(G.n, edges)
+    full = (1 << G.n) - 1
+    return Graph(G.n, tuple(full ^ m ^ (1 << v) for v, m in enumerate(G.masks)))
 
 
 def family(kind: str, n: int) -> Graph:
@@ -130,17 +132,8 @@ def induced_subgraph(G: Graph, vertices) -> Graph:
     if vs and not (0 <= vs[0] and vs[-1] < G.n):
         raise ValueError("vertex out of range")
     index = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (index[u], index[v]) for u in vs for v in G.adj[u] if u < v and v in index
-    ]
+    edges = [(index[u], index[v]) for u, v in G.edges() if u in index and v in index]
     return build_graph(len(vs), edges)
-
-
-def delete_vertex(G: Graph, v: int) -> Graph:
-    """Graph with vertex v removed; the rest renumber in sorted order."""
-    if not 0 <= v < G.n:
-        raise ValueError("vertex out of range")
-    return induced_subgraph(G, [u for u in range(G.n) if u != v])
 
 
 def replicate(G: Graph, copies) -> Graph:
@@ -156,11 +149,14 @@ def replicate(G: Graph, copies) -> Graph:
     if any(c < 0 for c in copies):
         raise ValueError("copy counts must be nonnegative")
     start = list(accumulate(copies, initial=0))
-    shadows = [range(start[v], start[v + 1]) for v in range(G.n)]
-    edges = [e for r in shadows for e in combinations(r, 2)]
-    for u, v in G.edges():
-        edges.extend(product(shadows[u], shadows[v]))
-    return build_graph(start[-1], edges)
+    block = [((1 << c) - 1) << a for c, a in zip(copies, start)]
+    masks = []
+    for v, m in enumerate(G.masks):
+        reach = block[v]
+        for u in _members(m):
+            reach |= block[u]
+        masks.extend(reach ^ (1 << i) for i in range(start[v], start[v + 1]))
+    return Graph(start[-1], tuple(masks))
 
 
 def expand(G: Graph, W) -> Graph:
@@ -194,13 +190,9 @@ def mycielski(G: Graph) -> Graph:
     vertex i, and vertex 2n is adjacent to every vertex n..2n-1.
     """
     n = G.n
-    z = 2 * n
-    edges = list(G.edges())
-    for i in range(n):
-        for u in G.adj[i]:
-            edges.append((n + i, u))
-        edges.append((n + i, z))
-    return build_graph(2 * n + 1, edges)
+    apex = 1 << 2 * n
+    masks = [m | m << n for m in G.masks] + [m | apex for m in G.masks]
+    return Graph(2 * n + 1, tuple(masks + [apex - (1 << n)]))
 
 
 def maximal_independent_sets(G: Graph) -> list[frozenset[int]]:
@@ -210,7 +202,7 @@ def maximal_independent_sets(G: Graph) -> list[frozenset[int]]:
     Bron-Kerbosch on vertex masks, with an explicit stack, not recursion.
     """
     full = (1 << G.n) - 1
-    nonadj = [full ^ m ^ (1 << v) for v, m in enumerate(_masks(G))]
+    nonadj = complement(G).masks
     out: list[list[int]] = []
     stack = [(0, full, 0)]
     while stack:
@@ -235,11 +227,6 @@ def minimal_vertex_covers(G: Graph) -> list[frozenset[int]]:
     return [full - s for s in maximal_independent_sets(G)]
 
 
-def _masks(G: Graph) -> list[int]:
-    """Neighborhood of each vertex as a bitmask."""
-    return [sum(1 << u for u in nbrs) for nbrs in G.adj]
-
-
 def _members(mask: int) -> list[int]:
     """The vertices of a mask in ascending order."""
     out = []
@@ -250,7 +237,7 @@ def _members(mask: int) -> list[int]:
     return out
 
 
-def _component(masks: list[int], alive: int) -> int:
+def _component(masks: tuple[int, ...], alive: int) -> int:
     """Component of the lowest vertex of ``alive`` in the subgraph induced on ``alive``."""
     comp = frontier = alive & -alive
     while frontier:
@@ -265,7 +252,7 @@ def _component(masks: list[int], alive: int) -> int:
 def is_connected(G: Graph) -> bool:
     """True when G has one connected component (empty graph counts as connected)."""
     full = (1 << G.n) - 1
-    return _component(_masks(G), full) == full
+    return _component(G.masks, full) == full
 
 
 class _Certificate(NamedTuple):
@@ -291,11 +278,12 @@ def _certificate(G: Graph) -> _Certificate:
     with a joint one.  The key is a hash: a collision only costs a failed
     match, because the matcher decides.
     """
-    cols = [len(nbrs) for nbrs in G.adj]
+    nbrs = [_members(m) for m in G.masks]
+    cols = [len(a) for a in nbrs]
     cells = len(set(cols))
     trace = []
     while True:
-        sigs = [(c, tuple(sorted([cols[u] for u in nbrs]))) for c, nbrs in zip(cols, G.adj)]
+        sigs = [(c, tuple(sorted([cols[u] for u in a]))) for c, a in zip(cols, nbrs)]
         ordered = sorted(sigs)
         trace.append(tuple(ordered))
         renumber = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
@@ -303,8 +291,7 @@ def _certificate(G: Graph) -> _Certificate:
         if len(renumber) == cells:
             break
         cells = len(renumber)
-    masks = tuple(_masks(G))
-    return _Certificate(hash((G.n, tuple(trace))), tuple(cols), masks)
+    return _Certificate(hash((G.n, tuple(trace))), tuple(cols), G.masks)
 
 
 def _isomorphisms(a: _Certificate, b: _Certificate):

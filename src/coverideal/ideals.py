@@ -60,7 +60,6 @@ __all__ = [
     "power",
     "contains",
     "contains_in_power",
-    "b_fold_via_membership",
     "irreducible_decomposition",
     "associated_primes",
 ]
@@ -327,22 +326,6 @@ def contains_in_power(J: MonomialIdeal, d: int, m: Monomial) -> bool:
     return _multicover(sets, [max(d - e, 0) for e in m], d) is not None
 
 
-def b_fold_via_membership(G: Graph, b: int) -> int:
-    """b-fold chromatic number computed through cover-ideal membership.
-
-    Returns the least d with (x_0 ... x_{n-1})^(d-b) in J(G)^d, scanning d
-    upward; this equals the b-fold chromatic number and serves as an
-    algebraic cross-check of the coloring route.
-    """
-    if b < 1:
-        raise ValueError("fold count must be >= 1")
-    J = cover_ideal(G)
-    for d in range(b, b * G.n + 2):
-        if contains_in_power(J, d, tuple([d - b] * G.n)):
-            return d
-    raise RuntimeError("membership scan exceeded the b*n bound; this is a bug")
-
-
 @dataclass(frozen=True)
 class IrreducibleIdeal:
     """Ideal generated by pure powers x_v^e on its support; exps sorted by variable."""
@@ -472,7 +455,7 @@ class _SlicedRows:
             self.renumber()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
     """Unique irredundant decomposition into irreducible monomial ideals.
 
@@ -487,8 +470,9 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
     (``_SlicedRows``), so each step's inside test and divisor screens are
     a few big-int operations over all of K at once.
 
-    Memoized by ideal (``cache_info()``, ``cache_clear()``): a persistence
-    check decomposes each power twice, as J^(s+1) and as the next J^s.
+    Memoized for the last ideal only (``cache_info()``, ``cache_clear()``):
+    every reuse is of the ideal just decomposed, as when a persistence
+    sweep reads J^(s+1) again as the next J^s.
     """
     if not I.gens:
         raise ValueError("the zero ideal has no irreducible decomposition")

@@ -6,7 +6,10 @@ The pairwise census route (an invariant bucket and a jointly refined
 isomorphism test per pair) is the package's former deduplication, kept as
 the cross-check of the certificate route.  The dense Bland-rule Fraction
 tableau is the package's former covering-LP solver, kept as the
-cross-check of the revised simplex."""
+cross-check of the revised simplex.  ``b_fold_via_membership`` reaches
+chi_b through the package's cover-ideal membership, as a cross-check of
+the coloring route.  Oracles read a neighborhood only through
+``neighbors``."""
 
 from __future__ import annotations
 
@@ -14,7 +17,26 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from coverideal.graphs import Graph, build_graph
-from coverideal.ideals import IrreducibleIdeal, MonomialIdeal
+from coverideal.ideals import (
+    IrreducibleIdeal,
+    MonomialIdeal,
+    contains_in_power,
+    cover_ideal,
+)
+
+
+def neighbors(G: Graph, v: int) -> frozenset[int]:
+    """The neighbors of v, read off its bitmask one vertex at a time."""
+    return frozenset(u for u in range(G.n) if G.masks[v] >> u & 1)
+
+
+def delete_vertex(G: Graph, v: int) -> Graph:
+    """Graph with vertex v removed; the rest renumber in sorted order."""
+    if not 0 <= v < G.n:
+        raise ValueError("vertex out of range")
+    rename = [u - (u > v) for u in range(G.n)]
+    edges = [(rename[a], rename[b]) for a, b in G.edges() if v not in (a, b)]
+    return build_graph(G.n - 1, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +51,7 @@ def brute_colorable(G: Graph, k: int) -> bool:
         if v == G.n:
             return True
         for c in range(k):
-            if all(colors[u] != c for u in G.adj[v]):
+            if all(colors[u] != c for u in neighbors(G, v)):
                 colors[v] = c
                 if place(v + 1):
                     return True
@@ -53,7 +75,7 @@ def brute_independent_sets(G: Graph) -> list[frozenset[int]]:
     for r in range(G.n + 1):
         for c in combinations(range(G.n), r):
             s = frozenset(c)
-            if all(u not in G.adj[v] for u in s for v in s):
+            if all(u not in neighbors(G, v) for u in s for v in s):
                 out.append(s)
     return out
 
@@ -84,6 +106,22 @@ def brute_minimal_vertex_covers(G: Graph) -> list[frozenset[int]]:
         s for s in covers if not any(o < s for o in covers)
     ]
     return sorted(set(minimal), key=sorted)
+
+
+def b_fold_via_membership(G: Graph, b: int) -> int:
+    """b-fold chromatic number computed through cover-ideal membership.
+
+    Returns the least d with (x_0 ... x_{n-1})^(d-b) in J(G)^d, scanning d
+    upward; this equals the b-fold chromatic number and serves as an
+    algebraic cross-check of the coloring route.
+    """
+    if b < 1:
+        raise ValueError("fold count must be >= 1")
+    J = cover_ideal(G)
+    for d in range(b, b * G.n + 2):
+        if contains_in_power(J, d, tuple([d - b] * G.n)):
+            return d
+    raise RuntimeError("membership scan exceeded the b*n bound; this is a bug")
 
 
 def brute_b_fold(G: Graph, b: int) -> int:
@@ -133,7 +171,7 @@ def brute_is_isomorphic(G: Graph, H: Graph) -> bool:
 
 def twin_expand_once(G: Graph, w: int) -> Graph:
     """Append one new vertex adjacent to w and to all of w's neighbors."""
-    edges = G.edges() + [(w, G.n)] + [(u, G.n) for u in sorted(G.adj[w])]
+    edges = G.edges() + [(w, G.n)] + [(u, G.n) for u in sorted(neighbors(G, w))]
     return build_graph(G.n + 1, edges)
 
 
@@ -153,7 +191,7 @@ def brute_replicate(G: Graph, copies) -> Graph:
     edges = [
         (i, j)
         for i, j in combinations(range(len(shadows)), 2)
-        if shadows[i][0] == shadows[j][0] or shadows[j][0] in G.adj[shadows[i][0]]
+        if shadows[i][0] == shadows[j][0] or shadows[j][0] in neighbors(G, shadows[i][0])
     ]
     return build_graph(len(shadows), edges)
 
@@ -176,7 +214,7 @@ def unpruned_extensions(parents, n: int, dmin: int):
     """Every extension of each parent by a vertex n - 1, in census order."""
     for parent in parents:
         deficient = frozenset(
-            v for v in range(parent.n) if len(parent.adj[v]) < dmin
+            v for v in range(parent.n) if len(neighbors(parent, v)) < dmin
         )
         optional = [v for v in range(parent.n) if v not in deficient]
         need = max(dmin - len(deficient), 0)
@@ -189,11 +227,11 @@ def unpruned_extensions(parents, n: int, dmin: int):
 
 def bucket_invariant(G: Graph):
     """Cheap isomorphism-invariant bucket key."""
-    degrees = tuple(len(G.adj[v]) for v in range(G.n))
+    degrees = tuple(len(neighbors(G, v)) for v in range(G.n))
     neighbor_degrees = tuple(
-        sorted(tuple(sorted(degrees[u] for u in G.adj[v])) for v in range(G.n))
+        sorted(tuple(sorted(degrees[u] for u in neighbors(G, v))) for v in range(G.n))
     )
-    triangles = sum(len(G.adj[u] & G.adj[v]) for u, v in G.edges()) // 3
+    triangles = sum(len(neighbors(G, u) & neighbors(G, v)) for u, v in G.edges()) // 3
     return (G.n, G.m, tuple(sorted(degrees)), neighbor_degrees, triangles)
 
 
@@ -204,7 +242,7 @@ def joint_refine_colors(G: Graph, H: Graph):
     for _ in range(max(G.n, 1)):
         sigs = [
             [
-                (cols[gi][v], tuple(sorted(cols[gi][u] for u in graphs[gi].adj[v])))
+                (cols[gi][v], tuple(sorted(cols[gi][u] for u in neighbors(graphs[gi], v))))
                 for v in range(graphs[gi].n)
             ]
             for gi in range(2)
@@ -241,7 +279,7 @@ def pairwise_is_isomorphic(G: Graph, H: Graph) -> bool:
     for _ in range(G.n):
         v = max(
             (u for u in range(G.n) if u not in placed),
-            key=lambda u: (len(G.adj[u] & placed), G.degree(u), -u),
+            key=lambda u: (len(neighbors(G, u) & placed), G.degree(u), -u),
         )
         order.append(v)
         placed.add(v)
@@ -258,7 +296,7 @@ def pairwise_is_isomorphic(G: Graph, H: Graph) -> bool:
                 continue
             ok = True
             for g2, h2 in mapping.items():
-                if (g2 in G.adj[g]) != (h2 in H.adj[h]):
+                if (g2 in neighbors(G, g)) != (h2 in neighbors(H, h)):
                     ok = False
                     break
             if not ok:
@@ -499,7 +537,7 @@ def perfect_graph_components(G: Graph, s: int) -> set[IrreducibleIdeal]:
     comps = set()
     for r in range(2, s + 2):
         for clique in combinations(range(G.n), r):
-            if not all(v in G.adj[u] for u, v in combinations(clique, 2)):
+            if not all(v in neighbors(G, u) for u, v in combinations(clique, 2)):
                 continue
             for exps in product(range(1, s + 1), repeat=r):
                 if sum(s + 1 - a for a in exps) == s + 1:

@@ -28,14 +28,13 @@ from coverideal.coloring import (
 from coverideal.corpus import all_graphs
 from coverideal.graphs import (
     build_graph,
-    delete_vertex,
     family,
     induced_subgraph,
     kneser_graph,
     mycielski,
     path_graph,
 )
-from oracles import brute_b_fold, brute_chromatic
+from oracles import brute_b_fold, brute_chromatic, delete_vertex
 
 
 class TestChromaticNumber:

@@ -18,12 +18,17 @@ from coverideal.corpus import (
 )
 from coverideal.graphs import (
     build_graph,
-    delete_vertex,
     family,
     is_connected,
     is_isomorphic,
 )
-from oracles import brute_chromatic, pairwise_dedupe, unpruned_extensions
+from oracles import (
+    brute_chromatic,
+    delete_vertex,
+    neighbors,
+    pairwise_dedupe,
+    unpruned_extensions,
+)
 
 EXTENDED = os.environ.get("COVERIDEAL_EXTENDED") == "1"
 
@@ -64,11 +69,11 @@ class TestMinDegreeCorpus:
     def test_matches_direct_filter(self, n, dmin, count):
         reps = graphs_with_min_degree(n, dmin)
         assert len(reps) == count
-        assert all(min(len(G.adj[v]) for v in range(G.n)) >= dmin for G in reps)
+        assert all(min(len(neighbors(G, v)) for v in range(G.n)) >= dmin for G in reps)
         direct = [
             G
             for G in all_graphs(n)
-            if min(len(G.adj[v]) for v in range(G.n)) >= dmin
+            if min(len(neighbors(G, v)) for v in range(G.n)) >= dmin
         ]
         assert len(direct) == count
         assert len(pairwise_dedupe(reps)) == count
@@ -185,7 +190,7 @@ class TestCriticalCensus:
         for n in range(2, 8):
             for G, chi in critical_graphs(n):
                 assert is_connected(G)
-                assert min(len(G.adj[v]) for v in range(G.n)) >= chi - 1
+                assert min(len(neighbors(G, v)) for v in range(G.n)) >= chi - 1
 
     def test_oracle_criticality_small(self):
         for n in range(2, 6):

@@ -43,7 +43,7 @@ from coverideal.ideals import (
     irreducible_decomposition,
     power,
 )
-from oracles import brute_replicate
+from oracles import brute_replicate, neighbors
 
 EXTENDED = os.environ.get("COVERIDEAL_EXTENDED") == "1"
 
@@ -232,6 +232,14 @@ class TestPersistence:
         )
         assert persistence_check(C5, 1) == (False, [dropped])
 
+    def test_sweep_memo_holds_the_last_power(self):
+        # Each power past J is decomposed as J^(s+1) and read again right
+        # after as the next J^s, so a memo of one ideal serves every reuse.
+        irreducible_decomposition.cache_clear()
+        persistence_sweep([family("cycle", 5), family("cycle", 7)], 3)
+        info = irreducible_decomposition.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (4, 8, 1)
+
     def test_sweep_rejects_bad_smax(self):
         with pytest.raises(ValueError):
             persistence_sweep([family("cycle", 5)], 0)
@@ -330,7 +338,7 @@ class TestProbeExpansion:
         for r in range(G.n + 1):
             for c in combinations(range(G.n), r):
                 W = frozenset(c)
-                if any(u in G.adj[v] for u in W for v in W) or W in maximal:
+                if any(u in neighbors(G, v) for u in W for v in W) or W in maximal:
                     continue
                 assert probe_expansion(G, W).expanded_chi == chi
 

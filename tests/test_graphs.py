@@ -18,7 +18,6 @@ from coverideal.graphs import (
     automorphisms,
     build_graph,
     complement,
-    delete_vertex,
     expand,
     family,
     first_of_each_class,
@@ -39,6 +38,8 @@ from oracles import (
     brute_maximal_independent_sets,
     brute_minimal_vertex_covers,
     brute_replicate,
+    delete_vertex,
+    neighbors,
     sequential_expand,
 )
 
@@ -46,6 +47,21 @@ REPLICATION_CASES = [
     family("cycle", 5),
     family("complete", 4),
     mycielski(family("cycle", 5)),
+]
+
+
+# Outputs of every constructor, each checked for the mask form's invariants.
+STRUCTURE_CASES = [
+    build_graph(4, [(0, 1), (2, 3), (1, 2)]),
+    build_graph(0, []),
+    build_graph(3, []),
+    family("antihole", 7),
+    kneser_graph(5, 2),
+    induced_subgraph(mycielski(family("cycle", 5)), {0, 3, 5, 8, 10}),
+    replicate(path_graph(3), [2, 0, 3]),
+    expand(family("cycle", 5), {1, 3}),
+    power_expansion(family("complete", 3), 3),
+    mycielski(mycielski(build_graph(2, [(0, 1)]))),
 ]
 
 
@@ -68,18 +84,23 @@ class TestBuildGraph:
             build_graph(2, [(0, 2)])
 
     def test_adjacency_symmetric_irreflexive(self):
-        G = build_graph(4, [(0, 1), (2, 3), (1, 2)])
-        for v in range(G.n):
-            assert v not in G.adj[v]
-            for u in G.adj[v]:
-                assert v in G.adj[u]
+        # No self-bit, symmetric masks, and a round trip through edges and complement.
+        for G in STRUCTURE_CASES:
+            assert len(G.masks) == G.n
+            for v, m in enumerate(G.masks):
+                assert 0 <= m < 1 << G.n
+                assert not m >> v & 1
+                for u in range(G.n):
+                    assert (m >> u & 1) == (G.masks[u] >> v & 1)
+            assert build_graph(G.n, G.edges()) == G
+            assert complement(complement(G)) == G
 
 
 class TestFamilies:
     def test_cycle5(self):
         G = family("cycle", 5)
         assert G.n == 5 and G.m == 5
-        assert all(len(G.adj[v]) == 2 for v in range(5))
+        assert all(len(neighbors(G, v)) == 2 for v in range(5))
 
     def test_complete4(self):
         G = family("complete", 4)
@@ -109,7 +130,7 @@ class TestFamilies:
     def test_kneser_petersen(self):
         P = kneser_graph(5, 2)
         assert P.n == 10 and P.m == 15
-        assert all(len(P.adj[v]) == 3 for v in range(10))
+        assert all(len(neighbors(P, v)) == 3 for v in range(10))
 
 
 class TestInducedAndDelete:
@@ -199,7 +220,7 @@ class TestPowerExpansion:
     def test_C5_second_expansion_degrees(self):
         H = power_expansion(family("cycle", 5), 2)
         assert H.n == 10
-        assert all(len(H.adj[v]) == 5 for v in range(10))
+        assert all(len(neighbors(H, v)) == 5 for v in range(10))
 
     def test_vertex_and_edge_counts(self):
         for G in (family("cycle", 5), family("complete", 4), path_graph(4)):
@@ -276,9 +297,9 @@ class TestMycielski:
         G = family("cycle", 5)
         M = mycielski(G)
         apex = M.n - 1
-        assert sorted(M.adj[apex]) == [5, 6, 7, 8, 9]
+        assert sorted(neighbors(M, apex)) == [5, 6, 7, 8, 9]
         for i in range(5):
-            assert M.adj[5 + i] == frozenset(G.adj[i]) | {apex}
+            assert neighbors(M, 5 + i) == neighbors(G, i) | {apex}
 
 
 class TestIndependentSets:

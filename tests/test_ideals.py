@@ -15,7 +15,6 @@ from coverideal.graphs import build_graph, family, kneser_graph
 from coverideal.ideals import (
     IrreducibleIdeal,
     associated_primes,
-    b_fold_via_membership,
     contains,
     contains_in_power,
     cover_ideal,
@@ -25,6 +24,7 @@ from coverideal.ideals import (
     power,
 )
 from oracles import (
+    b_fold_via_membership,
     brute_contains,
     brute_contains_in_power,
     brute_minimal_vertex_covers,
