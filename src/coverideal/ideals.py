@@ -3,47 +3,42 @@
 Monomials are exponent tuples indexed by vertex.  All operations are exact
 and return canonically sorted data so that equal ideals print identically.
 
-Row encoding.  Every exponent matrix that is minimalized is first
-rank-compressed column by column: an exponent is replaced by its index
+Rank rows.  Every exponent matrix is rank-compressed column by column
+before it is minimalized or dualized: an exponent is replaced by its index
 among the sorted distinct values its column can take in that step (the
 given generators in ``monomial_ideal``, every pairwise sum in
-``multiply``).  Ranks preserve every ``<=`` and ``max`` within a column,
-so divisibility and the row-lex order read the same on ranks as on
-exponents, and the rank sum is a degree under which a proper divisor
-always has the smaller degree.  The ranks are packed into ``(N, W)``
-uint64 words.  Variable v gets a field of ``bitlen(max rank of v) + 1``
-bits; fields run from the high bits of word 0 downward in variable order
-and never straddle two words, so comparing the words in order compares
-the rows row-lex.  The top bit of each field is a guard, and the
-invariant is that every stored row has all its guard bits clear.  With
-H the words of guard bits, ``((b | H) - a) & H`` then keeps the guard of
-exactly the fields where a <= b, and no borrow crosses a field, so a
-divides b iff that equals H in every word.  W is set by the data.
+``multiply``, zero and the dual exponents in ``irreducible_decomposition``).
+Ranks preserve every ``<=`` and ``max`` within a column, so divisibility
+and the row-lex order read the same on ranks as on exponents, and the
+rank sum is a degree under which a proper divisor always has the smaller
+degree.  Ranks are stored in the narrowest unsigned type that holds them.
 
-Bit-sliced chain.  The duality chain of ``irreducible_decomposition``
-ranks its rows the same way (zero and the dual exponents of each
-column) but stores them transposed: rows live in numbered slots, and for
-each variable v and rank r one Python int holds the bits of the slots
-whose rank at v exceeds r.  Whether a row lies inside an irreducible
-ideal, or is divided by some row of K, is then a few ORs and ANDs of
-those ints, which screen 64 slots per machine word.  Dead slots are
-renumbered away once they outnumber the live ones, so each int stays
-within about twice the size of K.
+Bit-sliced rows.  Wherever rows are screened for divisors they are held
+transposed: rows live in numbered slots, and for each variable v and rank
+r one Python int ``above[v][r]`` holds the bits of the slots whose rank at
+v exceeds r (``_above`` builds them).  A row k divides a row c iff slot k
+lies in no ``above[v][c_v]``, so one OR over the variables screens c
+against every row at once.  ``_minimalize`` screens the candidates of
+each degree against the minimal rows of lower degree; the duality chain
+of ``irreducible_decomposition`` keeps its running generator set K this
+way, where whether a row lies inside an irreducible ideal is also a few
+ORs and ANDs.  Dead slots of K are renumbered away once they outnumber
+the live ones, so each int stays within about twice the size of K.
 
 Exponent limit.  Exponents are read into uint64 before they are ranked,
 so every exponent a step computes must stay below 2**64: the generators
 of ``monomial_ideal``, the sums of ``multiply``, and the largest
 exponent plus one in ``irreducible_decomposition``.  Beyond that a
-``ValueError`` names the limit.  Field widths depend on how many distinct
+``ValueError`` names the limit.  Rank widths depend on how many distinct
 values a column holds, not on their size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
-from operator import or_
+from operator import getitem, or_
 
 import numpy as np
 
@@ -66,11 +61,8 @@ __all__ = [
 
 Monomial = tuple[int, ...]
 
-# Each temporary of the divisibility kernel holds at most _PAIR_BLOCK
-# candidate/kept pairs from at most _KEPT_BLOCK kept rows, and the rank
-# matrix of each block of products at most _PRODUCT_BLOCK entries.
-_PAIR_BLOCK = 1 << 18
-_KEPT_BLOCK = 1 << 12
+# The index matrix of each block of products holds at most _PRODUCT_BLOCK
+# entries.
 _PRODUCT_BLOCK = 1 << 20
 
 
@@ -96,9 +88,10 @@ def _rows(arr: np.ndarray) -> tuple[Monomial, ...]:
 def _rank_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Value table V and rank matrix R of an exponent matrix, column by column.
 
-    R holds each entry's index among the distinct values of its column and
-    V[r, v] the r-th smallest value of column v; rows of V past a column's
-    largest value repeat it, so V adds no value that M lacks.
+    R holds each entry's index among the distinct values of its column, in
+    the narrowest unsigned type that holds the largest, and V[r, v] the
+    r-th smallest value of column v; rows of V past a column's largest
+    value repeat it, so V adds no value that M lacks.
     """
     cols = np.arange(M.shape[1])
     order = np.argsort(M, axis=0)
@@ -106,113 +99,56 @@ def _rank_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new = np.ones(M.shape, dtype=bool)
     new[1:] = S[1:] != S[:-1]
     sorted_ranks = np.cumsum(new, axis=0) - 1
-    R = np.empty(M.shape, dtype=np.intp)
+    top = sorted_ranks[-1].max(initial=0)
+    R = np.empty(M.shape, dtype=np.min_scalar_type(top))
     R[order, cols] = sorted_ranks
-    V = np.repeat(S[-1:], sorted_ranks[-1].max(initial=0) + 1, axis=0)
+    V = np.repeat(S[-1:], top + 1, axis=0)
     V[sorted_ranks, cols] = S
     return V, R
 
 
-class _RowCode:
-    """Packed guarded layout of rank rows over a value table from _rank_columns."""
+def _above(ranks: np.ndarray, tops: list[int]) -> list[list[int]]:
+    """The bitsets of a rank matrix's rows, one slot per row in row order.
 
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        word, shift, mask, guard = [], [], [], [0]
-        free = 64
-        for r in (np.diff(values, axis=0) != 0).sum(axis=0).tolist():
-            b = r.bit_length() + 1
-            if b > free:
-                free = 64
-                guard.append(0)
-            free -= b
-            word.append(len(guard) - 1)
-            shift.append(free)
-            mask.append((1 << (b - 1)) - 1)
-            guard[-1] |= 1 << (free + b - 1)
-        self.words = len(guard)
-        self.word = np.array(word, dtype=np.intp)
-        self.shift = np.array(shift, dtype=np.uint64)
-        self.in_word = np.zeros((len(word), self.words), dtype=np.uint64)
-        self.in_word[np.arange(len(word)), self.word] = 1
-        self.rank_mask = np.array(mask, dtype=np.uint64)
-        self.guard = np.array(guard, dtype=np.uint64)
-
-    def pack(self, R: np.ndarray) -> np.ndarray:
-        """Pack a matrix of ranks (or of values that fit each field) into words.
-
-        Fields do not overlap, so summing a word's shifted fields packs them.
-        """
-        return (R.astype(np.uint64) << self.shift) @ self.in_word
-
-    def ranks(self, P: np.ndarray) -> np.ndarray:
-        """Ranks of packed rows, as an intp matrix."""
-        return ((P[:, self.word] >> self.shift) & self.rank_mask).astype(np.intp)
-
-    def decode(self, P: np.ndarray) -> np.ndarray:
-        """Exponent matrix of packed rows."""
-        return self.values[self.ranks(P), np.arange(self.values.shape[1])]
-
-
-def _sorted_unique(P: np.ndarray, degs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct packed rows in row-lex order, with their degrees."""
-    order = np.lexsort(P.T[::-1])
-    P, degs = P[order], degs[order]
-    new = np.ones(len(P), dtype=bool)
-    new[1:] = (P[1:] != P[:-1]).any(axis=1)
-    return P[new], degs[new]
-
-
-def _divided(cand: np.ndarray, kept: np.ndarray, guard: np.ndarray) -> np.ndarray:
-    """Boolean mask: which candidate rows are divisible by some kept row.
-
-    Each word of a pair passes when ``((c | H) - k) & H == H``.  Both axes
-    are taken in blocks, so each temporary holds at most _PAIR_BLOCK
-    pairs, and a candidate leaves the scan at its first divisor.
+    ``above[v][r]``, for r up to ``tops[v]``, holds bit i iff row i has a
+    rank above r at v; the last one, past the largest rank, is 0.
     """
-    hit = np.zeros(len(cand), dtype=bool)
-    high = cand | guard
-    kstep = min(len(kept), _KEPT_BLOCK)
-    step = max(1, _PAIR_BLOCK // kstep)
-    for i in range(0, len(cand), step):
-        todo = np.arange(i, min(i + step, len(cand)))
-        for j in range(0, len(kept), kstep):
-            block, ok = high[todo], None
-            for w, h in enumerate(guard):
-                t = block[:, w, None] - kept[j : j + kstep, w]
-                t &= h
-                if ok is None:
-                    ok = t == h
-                else:
-                    ok &= t == h
-            found = ok.any(axis=1)
-            hit[todo[found]] = True
-            todo = todo[~found]
-            if not len(todo):
-                break
-    return hit
+    T = max(tops)
+    P = np.packbits(ranks.T[:, None, :] > np.arange(T)[:, None], axis=2, bitorder="little")
+    w = P.shape[2]
+    buf = P.tobytes()
+    return [
+        [int.from_bytes(buf[(v * T + r) * w : (v * T + r + 1) * w], "little") for r in range(t)] + [0]
+        for v, t in enumerate(tops)
+    ]
 
 
-def _minimalize(P: np.ndarray, degs: np.ndarray, guard: np.ndarray):
-    """Divisibility-minimal packed rows, row-lex sorted, with their degrees.
+def _minimalize(R: np.ndarray) -> np.ndarray:
+    """The distinct divisibility-minimal rows of a rank matrix, row-lex sorted.
 
-    Rows are processed by ascending degree; two distinct rows of the same
-    degree never divide each other, so each degree level is screened in
-    bulk against the minimal rows of lower degree.
+    The distinct rows take slots in (degree, row-lex) order and are held
+    bit-sliced once.  Two distinct rows of the same degree never divide
+    each other, so the levels of equal degree are screened in ascending
+    order, each against the minimal rows of lower degree: with ``kept``
+    their slots, a kept row divides a candidate c iff it lies in no
+    ``above[v][c_v]``, so c is minimal iff the OR of those bitsets,
+    masked to ``kept``, is all of ``kept``.
     """
-    P, degs = _sorted_unique(P, degs)
-    order = np.argsort(degs, kind="stable")
-    keep = np.ones(len(P), dtype=bool)
-    kept = P[:0]
-    cuts = (np.flatnonzero(np.diff(degs[order])) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, len(P)]):
-        level = order[lo:hi]
-        if len(kept):
-            hit = _divided(P[level], kept, guard)
-            keep[level[hit]] = False
-            level = level[~hit]
-        kept = np.concatenate([kept, P[level]])
-    return P[keep], degs[keep]
+    R = R[np.lexsort(R.T[::-1])]
+    new = np.ones(len(R), dtype=bool)
+    new[1:] = (R[1:] != R[:-1]).any(axis=1)
+    R = R[new]
+    degs = R.sum(axis=1, dtype=np.intp)
+    slots = np.argsort(degs, kind="stable")
+    cuts = (np.flatnonzero(np.diff(degs[slots])) + 1).tolist()
+    S = R[slots]
+    above = _above(S, R.max(axis=0).tolist())
+    keep = np.zeros(len(R), dtype=bool)
+    for lo, hi in zip([0, *cuts], [*cuts, len(R)]):
+        kept = int.from_bytes(np.packbits(keep[:lo], bitorder="little").tobytes(), "little")
+        masked = [[a & kept for a in above_v] for above_v in above]
+        keep[lo:hi] = [reduce(or_, map(getitem, masked, c), 0) == kept for c in S[lo:hi].tolist()]
+    return R[np.sort(slots[keep])]
 
 
 @dataclass(frozen=True)
@@ -235,10 +171,10 @@ def monomial_ideal(nvars: int, gens) -> MonomialIdeal:
             raise ValueError("exponents must be nonnegative")
     if not gens:
         return MonomialIdeal(nvars, ())
+    if not nvars:
+        return MonomialIdeal(0, ((),))  # the unit ideal of the ring with no variables
     values, R = _rank_columns(_exponent_matrix(gens, nvars, _max_exponent(gens)))
-    code = _RowCode(values)
-    P, _ = _minimalize(code.pack(R), R.sum(axis=1), code.guard)
-    return MonomialIdeal(nvars, _rows(code.decode(P)))
+    return MonomialIdeal(nvars, _rows(values[_minimalize(R), np.arange(nvars)]))
 
 
 def cover_ideal(G: Graph) -> MonomialIdeal:
@@ -268,22 +204,17 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     # the few distinct sums ranks every product without forming the
     # product matrix: VA[a, v] + VB[b, v] has rank sum_rank[a * len(VB) + b, v].
     values, sum_rank = _rank_columns((VA[:, None, :] + VB[None, :, :]).reshape(-1, nvars))
-    code = _RowCode(values)
-    # Rows of A are taken in blocks so each block's rank matrix stays
-    # bounded; with several blocks, deduplicating each keeps the stacked
-    # copy small.
+    # Rows of A are taken in blocks so each block's index matrix stays
+    # bounded; the index is taken in intp, as narrow ranks would overflow.
     step = max(1, _PRODUCT_BLOCK // (len(RB) * nvars))
     cols = np.arange(nvars)
-    blocks, block_degs = [], []
-    for i in range(0, len(RA), step):
-        R = sum_rank[RA[i : i + step, None] * len(VB) + RB, cols].reshape(-1, nvars)
-        P, degs = code.pack(R), R.sum(axis=1)
-        if step < len(RA):
-            P, degs = _sorted_unique(P, degs)
-        blocks.append(P)
-        block_degs.append(degs)
-    P, _ = _minimalize(np.concatenate(blocks), np.concatenate(block_degs), code.guard)
-    return MonomialIdeal(nvars, _rows(code.decode(P)))
+    R = np.concatenate(
+        [
+            sum_rank[RA[i : i + step, None].astype(np.intp) * len(VB) + RB, cols].reshape(-1, nvars)
+            for i in range(0, len(RA), step)
+        ]
+    )
+    return MonomialIdeal(nvars, _rows(values[_minimalize(R), cols]))
 
 
 def power(I: MonomialIdeal, s: int) -> MonomialIdeal:
@@ -378,15 +309,7 @@ class _SlicedRows:
     def renumber(self) -> None:
         """Give the live rows slots 0..live-1 in order and rebuild the bitsets."""
         self.rows = [g for g in self.rows if g is not None]
-        ranks = np.array(self.rows, dtype=np.intp)
-        self.above = [
-            [
-                int.from_bytes(b.tobytes(), "little")
-                for b in np.packbits(ranks[:, v] > np.arange(t)[:, None], axis=1, bitorder="little")
-            ]
-            + [0]
-            for v, t in enumerate(self.tops)
-        ]
+        self.above = _above(np.array(self.rows, dtype=np.intp), self.tops)
         self.alive = (1 << len(self.rows)) - 1
 
     def meet(self, sig: tuple[int, ...]) -> None:
@@ -492,6 +415,8 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
 
 
 def associated_primes(I: MonomialIdeal) -> list[frozenset[int]]:
-    """Supports of the irreducible components, deduplicated and sorted."""
-    supports = {frozenset(c.support) for c in irreducible_decomposition(I)}
-    return sorted(supports, key=lambda s: sorted(s))
+    """Supports of the irreducible components, deduplicated and sorted.
+
+    The components come sorted by support, so first occurrences are in order.
+    """
+    return list(dict.fromkeys(frozenset(c.support) for c in irreducible_decomposition(I)))

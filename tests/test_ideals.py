@@ -420,28 +420,22 @@ class TestDecompositionEngines:
 
 
 class TestPackedKernel:
-    """Block boundaries and multi-word rows of the packed row kernel."""
+    """Block boundaries and the row-lex order of wide rows."""
 
     def test_multi_word_rows_sort_row_lex(self):
         import random
 
-        # 30 variables with 3-bit fields take two words, so word order
-        # decides the row-lex order of the generators.
+        # 30 variables: the row-lex order runs past the first few columns.
         rng = random.Random(20261018)
         rows = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(30)) for _ in range(300)]
         rows = [r for r in rows if sum(r)]
-        values, _ = ideals._rank_columns(ideals._exponent_matrix(rows, 30, 3))
-        assert ideals._RowCode(values).words == 2
         assert monomial_ideal(30, rows).gens == brute_minimalize(rows)
 
     @pytest.mark.parametrize("pair, kept, product", [(1, 1, 1), (5, 2, 7)])
     def test_small_blocks_match_oracles(self, monkeypatch, pair, kept, product):
         import random
 
-        # Tiny blocks send every candidate through several kept blocks and
-        # every product through several blocks of A's rows.
-        monkeypatch.setattr(ideals, "_PAIR_BLOCK", pair)
-        monkeypatch.setattr(ideals, "_KEPT_BLOCK", kept)
+        # Tiny blocks send every product through several blocks of A's rows.
         monkeypatch.setattr(ideals, "_PRODUCT_BLOCK", product)
         irreducible_decomposition.cache_clear()
         rng = random.Random(pair * 100 + kept)
@@ -454,6 +448,28 @@ class TestPackedKernel:
             assert multiply(I, J).gens == brute_product_gens(I.gens, J.gens)
             assert irreducible_decomposition(I) == splitting_decomposition(I)
         irreducible_decomposition.cache_clear()
+
+    def test_ring_without_variables(self):
+        # The unit ideal is the one nonzero ideal of the ring with no variables.
+        unit = monomial_ideal(0, [(), ()])
+        assert unit.gens == brute_minimalize([(), ()]) == ((),)
+        assert multiply(unit, unit).gens == brute_product_gens(unit.gens, unit.gens)
+
+    def test_column_past_255_distinct_exponents(self):
+        # 300 distinct values in each column need ranks wider than a byte.
+        rows = [(i, 299 - i) for i in range(300)] + [(i + 1, 300 - i) for i in range(0, 300, 7)]
+        _, R = ideals._rank_columns(ideals._exponent_matrix(rows, 2, 300))
+        assert R.dtype.itemsize == 2
+        I = monomial_ideal(2, rows)
+        assert I.gens == brute_minimalize(rows)
+        J = monomial_ideal(2, [(1, 0), (0, 2)])
+        assert multiply(I, J).gens == brute_product_gens(I.gens, J.gens)
+
+    def test_only_divisor_two_degree_levels_down(self):
+        # Degrees 1, 2 and 3 in ranks: (2, 0, 1) is divided by (1, 0, 0)
+        # only, past the level of (0, 1, 1), which does not divide it.
+        rows = [(2, 0, 1), (0, 1, 1), (1, 0, 0)]
+        assert monomial_ideal(3, rows).gens == brute_minimalize(rows) == ((0, 1, 1), (1, 0, 0))
 
 
 def _complete_multipartite(*parts):
@@ -539,30 +555,23 @@ class TestBitSlicedChain:
 
 
 class TestClosedFormPerfectGraphs:
-    """The engine against the perfect-graph closed form past brute-force size.
-
-    The graphs are chosen so the generators' packed rows, as
-    ``monomial_ideal`` packs them, take one word (K_21 fills 63 of its 64
-    bits), spill one field into a second word (K_{11,11}) and take three
-    words (K_{15,15,15}).
-    """
+    """The engine against the perfect-graph closed form on 17 to 45 vertices,
+    past brute-force size."""
 
     @pytest.mark.parametrize(
-        "G, s, words, count",
+        "G, s, count",
         [
-            (family("complete", 20), 2, 1, 1520),
-            (family("complete", 21), 2, 1, 1750),
-            (_complete_multipartite(11, 11), 2, 2, 242),
-            (family("complete", 17), 3, 1, 4828),
-            (_complete_multipartite(20, 20), 3, 2, 1200),
-            (_complete_multipartite(15, 15, 15), 2, 3, 4725),
+            (family("complete", 20), 2, 1520),
+            (family("complete", 21), 2, 1750),
+            (_complete_multipartite(11, 11), 2, 242),
+            (family("complete", 17), 3, 4828),
+            (_complete_multipartite(20, 20), 3, 1200),
+            (_complete_multipartite(15, 15, 15), 2, 4725),
         ],
         ids=["K20_s2", "K21_s2", "K11_11_s2", "K17_s3", "K20_20_s3", "K15_15_15_s2"],
     )
-    def test_components_match_closed_form(self, G, s, words, count):
+    def test_components_match_closed_form(self, G, s, count):
         I = power(cover_ideal(G), s)
-        values, _ = ideals._rank_columns(ideals._exponent_matrix(I.gens, I.nvars, s))
-        assert ideals._RowCode(values).words == words
         comps = irreducible_decomposition(I)
         expected = perfect_graph_components(G, s)
         assert len(comps) == count
