@@ -23,7 +23,7 @@ import sys
 import time
 from collections import Counter
 
-from coverideal.cli import CLIError, parse_builtin
+from coverideal.cli import CLIError, exit_code, parse_builtin
 from coverideal.correspondence import verify_correspondence
 from coverideal.ideals import cover_ideal, irreducible_decomposition, multiply
 
@@ -38,12 +38,10 @@ def main(argv=None) -> int:
                         help="skip the per-component criticality verification")
     args = parser.parse_args(argv)
 
-    try:
-        G = parse_builtin(args.builtin)
-        J = cover_ideal(G)
-    except (CLIError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.s_max < 1:
+        raise CLIError("--s-max must be >= 1")
+    G = parse_builtin(args.builtin)
+    J = cover_ideal(G)
     print(f"{args.builtin}: n={G.n} m={G.m}, cover ideal has "
           f"{len(J.gens)} minimal generators", flush=True)
 
@@ -79,4 +77,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

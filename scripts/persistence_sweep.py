@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 
+from coverideal.cli import exit_code
 from coverideal.corpus import connected_graphs
 from coverideal.correspondence import persistence_sweep
 from coverideal.graphs import family
@@ -61,4 +62,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

@@ -17,6 +17,7 @@ import argparse
 import sys
 import time
 
+from coverideal.cli import exit_code
 from coverideal.corpus import critical_graphs
 from coverideal.correspondence import probe_expansion
 from coverideal.graphs import maximal_independent_sets
@@ -29,6 +30,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
+    critical_graphs(args.max_n)  # refuses an unsupported size before any output
     total = 0
     with_witness = 0
     for n in range(1, args.max_n + 1):
@@ -55,4 +57,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

@@ -7,7 +7,8 @@ Exit codes: 0 = completed (and, for verify/conjecture, the check passed or
 a witness was found); 1 = completed but the check failed or the search was
 exhausted; 2 = usage or input error; 3 = internal error (an unexpected
 exception, reported on stderr without a traceback), so a crash never reads
-as a finding.
+as a finding.  :func:`exit_code` is the one place that maps exceptions to
+these codes; :func:`main` and the experiment scripts all run through it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .correspondence import (
 from .graphs import Graph, build_graph, family, mycielski, path_graph
 from .ideals import associated_primes, cover_ideal, irreducible_decomposition, power
 
-__all__ = ["main", "parse_builtin", "parse_edge_list", "parse_graph6"]
+__all__ = ["exit_code", "main", "parse_builtin", "parse_edge_list", "parse_graph6"]
 
 _BUILTIN_KINDS = ("cycle", "complete", "antihole", "path", "mycielski-cycle")
 
@@ -45,7 +46,7 @@ _BUILTIN_KINDS = ("cycle", "complete", "antihole", "path", "mycielski-cycle")
 _VERTEX_LIMIT = 1000
 
 
-class CLIError(Exception):
+class CLIError(ValueError):
     """Input or usage problem; reported on stderr with exit code 2."""
 
 
@@ -173,7 +174,7 @@ def _load_graph(args) -> tuple[Graph, str]:
             try:
                 with open(args.edge_list, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise CLIError(f"cannot read edge list: {exc}") from None
         return parse_edge_list(text), f"edge-list:{args.edge_list}"
     return parse_graph6(args.graph6), f"graph6:{args.graph6.strip()}"
@@ -255,10 +256,7 @@ def _cmd_invariants(args):
     if G.n == 0:
         raise CLIError("invariants need a graph with at least one vertex")
     inputs = {"graph": source, "bfold": folds}
-    try:
-        chi_f = fractional_value(G)[0]
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    chi_f = fractional_value(G)[0]
     chi, _ = chromatic_number(G)
     critical, _, failing = is_critical(G)
     results = {
@@ -279,10 +277,7 @@ def _cmd_decompose(args):
     if args.power < 1:
         raise CLIError("--power must be >= 1")
     inputs = {"graph": source, "power": args.power}
-    try:
-        J = cover_ideal(G)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    J = cover_ideal(G)
     Js = power(J, args.power)
     decomp = irreducible_decomposition(Js)
     results = {
@@ -301,10 +296,7 @@ def _cmd_verify(args):
         raise CLIError("--power must be >= 1")
     inputs = {"graph": source, "which": args.which, "power": args.power}
     if args.which == "correspondence":
-        try:
-            records = verify_correspondence(G, args.power)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
+        records = verify_correspondence(G, args.power)
         results = {
             "s": args.power,
             "components": [
@@ -320,10 +312,7 @@ def _cmd_verify(args):
         }
         return (0 if results["all_verified"] else 1), inputs, results
     if args.which == "persistence":
-        try:
-            holds, missing = persistence_check(G, args.power)
-        except ValueError as exc:
-            raise CLIError(str(exc)) from None
+        holds, missing = persistence_check(G, args.power)
         results = {
             "s": args.power,
             "holds": holds,
@@ -339,10 +328,7 @@ def _cmd_verify(args):
     if args.b < 1:
         raise CLIError("--b must be >= 1")
     inputs = {"graph": source, "which": args.which, "W": _vset(set(W)), "b": args.b}
-    try:
-        member, d = technical_lemma_check(G, W, args.b)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    member, d = technical_lemma_check(G, W, args.b)
     results = {
         "W": _vset(set(W)),
         "b": args.b,
@@ -356,10 +342,7 @@ def _cmd_conjecture(args):
     G, source = _load_graph(args)
     mode = args.mode.replace("-", "_")
     inputs = {"graph": source, "mode": args.mode}
-    try:
-        witness = conjecture_search(G, mode)
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
+    witness = conjecture_search(G, mode)
     results = {
         "found": witness is not None,
         "witness": (
@@ -454,18 +437,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def exit_code(body, *args) -> int:
+    """Run body(*args) and return its exit code, mapping exceptions to codes.
+
+    A ValueError (CLIError and UnicodeDecodeError included) is an input
+    error and a RecursionError an input too deep for the searches: both
+    print one "error:" line and give 2.  Any other exception prints one
+    "internal error:" line and gives 3, since 1 means "counterexample found".
+    """
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return 2 if code is None else int(code)
-    try:
-        start = time.perf_counter()
-        code, inputs, results = _HANDLERS[args.command](args)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-    except CLIError as exc:
+        return body(*args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
@@ -476,14 +458,29 @@ def main(argv=None) -> int:
         )
         return 2
     except Exception as exc:
-        # Exit 1 means "counterexample found", so a crash must not reach it.
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+
+
+def _run(args) -> int:
+    start = time.perf_counter()
+    code, inputs, results = _HANDLERS[args.command](args)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = {"command": args.command, "inputs": inputs, "results": results}
     if args.timing:
         report["timing_ms"] = round(elapsed_ms, 3)
     _emit(report, args.json, sys.stdout)
     return code
+
+
+def main(argv=None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+        return 2 if code is None else int(code)
+    return exit_code(_run, args)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ behind COVERIDEAL_EXTENDED=1.
 """
 
 import hashlib
+import json
 import os
 import random
 import time
@@ -15,6 +16,7 @@ from itertools import combinations
 
 import pytest
 
+from coverideal.cli import main
 from coverideal.coloring import (
     b_fold_chromatic,
     chromatic_number,
@@ -143,7 +145,7 @@ def test_criterion_4_explicit_component_reading():
 @pytest.mark.skipif(
     not EXTENDED, reason="set COVERIDEAL_EXTENDED=1 to run the 4th-power decomposition"
 )
-def test_criterion_4_extended_full_decomposition():
+def test_criterion_4_extended_full_decomposition(capsys):
     start = time.perf_counter()
     G = mycielski(family("cycle", 9))
     J = cover_ideal(G)
@@ -164,11 +166,20 @@ def test_criterion_4_extended_full_decomposition():
     assert len(decomp) == 25_392
     digest = hashlib.sha256(repr([c.exps for c in decomp]).encode()).hexdigest()
     assert digest == "5eb62e63985b9edf5dc41fa545f00384c98ed4bf5f06648a5a67af156e042a7d"
-    # The paper's dictionary in full: every component's shadow graph is
-    # critically 5-chromatic (the decomposition is reused from the memo).
-    records = verify_correspondence(G, 4, J4)
-    assert len(records) == 25_392
-    assert all(r.verified_critical for r in records)
+    # The paper's dictionary in full, through the command line: every
+    # component's shadow graph is critically 5-chromatic (the decomposition
+    # is reused from the memo).  The report is pinned by size and SHA-256.
+    code = main(["verify", "correspondence", "--builtin", "mycielski-cycle:9",
+                 "--power", "4", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert len(out.encode()) == 15_816_411
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "b4626a1f65693f9fa59c6333a835d58ba9b8370053a64dd062603631b4e10d80"
+    results = json.loads(out)["results"]
+    assert len(results["components"]) == 25_392
+    assert results["all_verified"]
+    assert all(r["verified"] and r["chi"] == 5 for r in results["components"])
     elapsed = time.perf_counter() - start
     assert elapsed < 4 * 3600
     print(

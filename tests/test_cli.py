@@ -360,6 +360,13 @@ class TestInputChannels:
         )
         assert code == 2 and "error:" in err
 
+    def test_undecodable_edge_list_file(self, capsys, tmp_path):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, "invariants", "--edge-list", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read edge list: ") and err.count("\n") == 1
+
     def test_graph6_flag(self, capsys):
         text = nx.to_graph6_bytes(nx.cycle_graph(5), header=False).decode().strip()
         code, report, _ = run_json(capsys, "invariants", "--graph6", text)

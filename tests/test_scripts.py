@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import coverideal
+from coverideal.cli import CLIError, exit_code
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
@@ -50,3 +51,47 @@ def test_decompose_powers_bad_builtin(builtin):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("persistence_sweep.py", ["--s-max", "0"]),
+        ("witness_hunt.py", ["--max-n", "9"]),
+        ("witness_hunt.py", ["--max-n", "0"]),
+        ("decompose_powers.py", ["--s-max", "0"]),
+    ],
+    ids=["sweep_s_max_0", "hunt_max_n_9", "hunt_max_n_0", "decompose_s_max_0"],
+)
+def test_script_input_error_exits_2(name, argv):
+    proc = run_script(name, *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def _raise(exc):
+    def body():
+        raise exc
+
+    return body
+
+
+@pytest.mark.parametrize(
+    "exc,code,line",
+    [
+        (ValueError("bad size"), 2, "error: bad size"),
+        (CLIError("bad flag"), 2, "error: bad flag"),
+        (
+            RecursionError("maximum recursion depth exceeded"),
+            2,
+            f"error: the input needs more than Python's recursion limit of "
+            f"{sys.getrecursionlimit()} frames",
+        ),
+        (RuntimeError("boom"), 3, "internal error: RuntimeError: boom"),
+    ],
+    ids=["value_error", "cli_error", "recursion_error", "runtime_error"],
+)
+def test_exit_code_boundary(capsys, exc, code, line):
+    assert exit_code(_raise(exc)) == code
+    assert capsys.readouterr() == ("", line + "\n")
