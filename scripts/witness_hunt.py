@@ -19,8 +19,7 @@ import time
 
 from coverideal.cli import exit_code
 from coverideal.corpus import critical_graphs
-from coverideal.correspondence import probe_expansion
-from coverideal.graphs import maximal_independent_sets
+from coverideal.correspondence import expansion_witnesses
 
 
 def main(argv=None) -> int:
@@ -38,11 +37,7 @@ def main(argv=None) -> int:
             if G.m == 0:
                 continue
             total += 1
-            hits = []
-            for W in maximal_independent_sets(G):
-                probe = probe_expansion(G, W)
-                if probe.expanded_chi == chi + 1 and probe.expanded_critical:
-                    hits.append(sorted(W))
+            hits = [sorted(w.W) for w in expansion_witnesses(G)]
             if hits:
                 with_witness += 1
                 print(f"n={n} chi={chi} edges={G.edges()}: "

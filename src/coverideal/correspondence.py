@@ -4,6 +4,7 @@ persistence of associated primes and the critical-expansion search."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations, product
 
@@ -31,6 +32,7 @@ __all__ = [
     "persistence_check",
     "persistence_sweep",
     "conjecture_search",
+    "expansion_witnesses",
     "probe_expansion",
     "technical_lemma_check",
 ]
@@ -161,23 +163,13 @@ def persistence_check(G: Graph, s: int) -> tuple[bool, list[frozenset[int]]]:
     if s < 1:
         raise ValueError("power must be >= 1")
     J = cover_ideal(G)
-    _, _, _, missing = _persistence_step(power(J, s), J)
-    return not missing, missing
-
-
-def _persistence_step(Js: MonomialIdeal, J: MonomialIdeal) -> tuple[
-    MonomialIdeal, list[frozenset[int]], list[frozenset[int]], list[frozenset[int]]
-]:
-    """Compare Ass(J^s) with Ass(J^(s+1)), given J^s and J.
-
-    Returns J^(s+1) = J^s * J, both lists of associated primes, and the
-    primes of J^s that are missing from J^(s+1).
-    """
-    Jnext = multiply(Js, J)
+    Js = power(J, s)
+    # J^s before J^(s+1): called with ascending s, the one-ideal memo
+    # still holds the previous call's J^(s+1) here.
     ass_s = associated_primes(Js)
-    ass_next = associated_primes(Jnext)
-    kept = set(ass_next)
-    return Jnext, ass_s, ass_next, [p for p in ass_s if p not in kept]
+    kept = set(associated_primes(multiply(Js, J)))
+    missing = [p for p in ass_s if p not in kept]
+    return not missing, missing
 
 
 @dataclass(frozen=True)
@@ -202,8 +194,9 @@ class SweepReport:
 def persistence_sweep(graphs, s_max: int) -> SweepReport:
     """Check persistence for s = 1..s_max over a family of graphs.
 
-    Each graph's powers J, J^2, ..., J^(s_max+1) are built once, each from
-    the one before, and compared as in persistence_check.
+    Each graph's powers J, J^2, ..., J^(s_max+1) are built and decomposed
+    once, each from the one before, and compared as in persistence_check;
+    Ass(J^(s+1)) is carried forward as the next step's Ass(J^s).
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
@@ -211,8 +204,13 @@ def persistence_sweep(graphs, s_max: int) -> SweepReport:
     graphs = list(graphs)
     for gi, G in enumerate(graphs):
         J = P = cover_ideal(G)
+        ass_next = associated_primes(J)
         for s in range(1, s_max + 1):
-            P, ass_s, ass_next, missing = _persistence_step(P, J)
+            ass_s = ass_next
+            P = multiply(P, J)
+            ass_next = associated_primes(P)
+            kept = set(ass_next)
+            missing = [p for p in ass_s if p not in kept]
             if missing:
                 findings.append(
                     PersistenceFinding(
@@ -263,41 +261,43 @@ def probe_expansion(G: Graph, W) -> ConjectureWitness:
     )
 
 
-def conjecture_search(
+def expansion_witnesses(
     G: Graph, mode: str = "maximal_independent_only"
-) -> ConjectureWitness | None:
-    """Search for W whose expansion is critically (chi+1)-chromatic.
+) -> Iterator[ConjectureWitness]:
+    """Every W whose expansion is critically (chi+1)-chromatic, in order.
 
     Candidates run through the maximal independent sets in canonical order;
     mode "all_subsets" continues with every remaining vertex subset ordered
     by size then lexicographically, drawn only as the search reaches them.
-    Returns the first witness, or None when every candidate fails.
+    A candidate whose expansion reaches chi + 1 is tested by
+    probe_expansion.
     """
     if mode not in ("maximal_independent_only", "all_subsets"):
         raise ValueError(f"unknown search mode {mode!r}")
     critical, chi, _ = is_critical(G)
     if not critical:
         raise ValueError("conjecture search expects a critical graph")
-    target = chi + 1
     candidates = maximal_independent_sets(G)
-    mis = set(candidates)
     if mode == "all_subsets":
+        mis = set(candidates)
         subsets = (frozenset(c) for r in range(G.n + 1) for c in combinations(range(G.n), r))
         candidates = chain(candidates, (W for W in subsets if W not in mis))
     for W in candidates:
-        H = expand(G, W)
-        h_chi, _ = chromatic_number(H)
-        if h_chi != target:
-            continue
-        h_critical, _, _ = is_critical(H)
-        if h_critical:
-            return ConjectureWitness(
-                W=W,
-                is_maximal_independent=W in mis,
-                expanded_chi=h_chi,
-                expanded_critical=True,
-            )
-    return None
+        if chromatic_number(expand(G, W))[0] == chi + 1:
+            witness = probe_expansion(G, W)
+            if witness.expanded_critical:
+                yield witness
+
+
+def conjecture_search(
+    G: Graph, mode: str = "maximal_independent_only"
+) -> ConjectureWitness | None:
+    """Search for W whose expansion is critically (chi+1)-chromatic.
+
+    Returns the first of expansion_witnesses(G, mode), or None when every
+    candidate fails.
+    """
+    return next(expansion_witnesses(G, mode), None)
 
 
 def technical_lemma_check(G: Graph, W, b: int) -> tuple[bool, int]:

@@ -303,11 +303,11 @@ class _SlicedRows:
     def __init__(self, tops: list[int]):
         self.tops = tops
         self.rows = [(0,) * len(tops)]
-        self.live = self.alive = 1
+        self.alive = 1
         self.above = [[0] * (t + 1) for t in tops]
 
     def renumber(self) -> None:
-        """Give the live rows slots 0..live-1 in order and rebuild the bitsets."""
+        """Give the live rows the lowest slots in order and rebuild the bitsets."""
         self.rows = [g for g in self.rows if g is not None]
         self.above = _above(np.array(self.rows, dtype=np.intp), self.tops)
         self.alive = (1 << len(self.rows)) - 1
@@ -339,11 +339,9 @@ class _SlicedRows:
             return
         alive = self.alive & inside
         new = 0
-        live = self.live
         for slot in _members(raised):
             g = rows[slot]
             rows[slot] = None
-            live -= 1
             terms = [above_u[r] for above_u, r in zip(above, g)]
             before = list(accumulate(terms, or_, initial=0))
             after = list(accumulate(reversed(terms), or_, initial=0))[::-1]
@@ -364,7 +362,6 @@ class _SlicedRows:
                     alive &= ~multiples
                     for dead in _members(multiples):
                         rows[dead] = None
-                        live -= 1
                 bit = 1 << len(rows)
                 rows.append(c)
                 for above_u, r in zip(above, c):
@@ -372,9 +369,8 @@ class _SlicedRows:
                         above_u[k] |= bit
                 alive |= bit
                 new |= bit
-                live += 1
-        self.alive, self.live = alive, live
-        if len(rows) > 2 * live:
+        self.alive = alive
+        if len(rows) > 2 * alive.bit_count():
             self.renumber()
 
 
@@ -394,8 +390,9 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
     a few big-int operations over all of K at once.
 
     Memoized for the last ideal only (``cache_info()``, ``cache_clear()``):
-    every reuse is of the ideal just decomposed, as when a persistence
-    sweep reads J^(s+1) again as the next J^s.
+    every reuse is of the ideal just decomposed, as when
+    ``persistence_check`` called with ascending s reads J^(s+1) again as
+    the next J^s.
     """
     if not I.gens:
         raise ValueError("the zero ideal has no irreducible decomposition")

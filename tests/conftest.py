@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from coverideal import correspondence
 from coverideal.graphs import Graph, build_graph
 
 settings.register_profile(
@@ -93,3 +95,16 @@ def squarefree_ideals(draw, max_vars: int = 6, max_gens: int = 5):
     if draw(st.booleans()):
         gens.append((1,) * nvars)
     return nvars, tuple(gens)
+
+
+@pytest.fixture
+def expansion_fault(monkeypatch):
+    """correspondence.is_critical reads every graph past 5 vertices as
+    non-critical, so the expansions of C5 that reach chi + 1 fail."""
+    real = correspondence.is_critical
+
+    def no_large_critical(H):
+        critical, chi, failing = real(H)
+        return critical and H.n <= 5, chi, failing
+
+    monkeypatch.setattr(correspondence, "is_critical", no_large_critical)

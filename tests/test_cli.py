@@ -554,6 +554,12 @@ class TestInternalErrors:
         assert code == 2 and out == ""
         assert err == f"error: the input needs more than Python's recursion limit of {limit} frames\n"
 
+    def test_conjecture_fault_exits_3(self, capsys, expansion_fault):
+        # An expansion fault must not read as exhausted, which exits 1.
+        code, out, err = run_cli(capsys, "conjecture", "--builtin", "cycle:5")
+        assert code == 3 and out == ""
+        assert err.startswith("internal error:") and err.count("\n") == 1
+
     LEMMA = ("verify", "--builtin", "cycle:5", "technical-lemma", "--W", "0", "--b", "1")
 
     def test_lemma_fault_exits_3(self, capsys, monkeypatch):

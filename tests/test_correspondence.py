@@ -21,6 +21,7 @@ from coverideal.correspondence import (
     component_to_Y,
     conjecture_search,
     converse_correspondence,
+    expansion_witnesses,
     persistence_check,
     persistence_sweep,
     probe_expansion,
@@ -233,12 +234,22 @@ class TestPersistence:
         assert persistence_check(C5, 1) == (False, [dropped])
 
     def test_sweep_memo_holds_the_last_power(self):
-        # Each power past J is decomposed as J^(s+1) and read again right
-        # after as the next J^s, so a memo of one ideal serves every reuse.
+        # The sweep carries Ass(J^(s+1)) into the next step, so each of
+        # J..J^4 is decomposed once per graph and never read back.
         irreducible_decomposition.cache_clear()
         persistence_sweep([family("cycle", 5), family("cycle", 7)], 3)
         info = irreducible_decomposition.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (4, 8, 1)
+        assert (info.hits, info.misses, info.currsize) == (0, 8, 1)
+
+    def test_ascending_checks_reuse_the_last_power(self):
+        # persistence_check(G, s) decomposes J^s before J^(s+1), so called
+        # with s = 1, 2, 3 it finds the previous call's J^(s+1) in the memo.
+        C5 = family("cycle", 5)
+        irreducible_decomposition.cache_clear()
+        for s in (1, 2, 3):
+            assert persistence_check(C5, s) == (True, [])
+        info = irreducible_decomposition.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 4, 1)
 
     def test_sweep_rejects_bad_smax(self):
         with pytest.raises(ValueError):
@@ -307,6 +318,19 @@ class TestConjectureSearch:
         witness = conjecture_search(family("cycle", 5), mode="all_subsets")
         assert drawn == []
         assert witness.W == frozenset({0, 2}) and witness.is_maximal_independent
+
+    def test_every_maximal_pair_of_C5_is_a_witness(self):
+        C5 = family("cycle", 5)
+        witnesses = list(expansion_witnesses(C5))
+        assert [w.W for w in witnesses] == maximal_independent_sets(C5)
+        assert all(w.is_maximal_independent and w.expanded_chi == 4 for w in witnesses)
+        assert witnesses[0] == conjecture_search(C5)
+
+    def test_expansion_fault_raises(self, expansion_fault):
+        # A maximal-independent expansion of C5 that reaches chi + 1 but
+        # reads non-critical is an internal error, not "no witness".
+        with pytest.raises(RuntimeError):
+            conjecture_search(family("cycle", 5))
 
 
 class TestProbeExpansion:

@@ -545,7 +545,9 @@ class TestBitSlicedChain:
         calls = []
         renumber = ideals._SlicedRows.renumber
         monkeypatch.setattr(
-            ideals._SlicedRows, "renumber", lambda self: calls.append(self.live) or renumber(self)
+            ideals._SlicedRows,
+            "renumber",
+            lambda self: calls.append(self.alive.bit_count()) or renumber(self),
         )
         I = power(cover_ideal(family("cycle", 5)), 3)
         irreducible_decomposition.cache_clear()

@@ -1,6 +1,8 @@
 """Smoke tests for the front-end scripts: each runs as a user would run it."""
 
+import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 import coverideal
 from coverideal.cli import CLIError, exit_code
 
+EXTENDED = os.environ.get("COVERIDEAL_EXTENDED") == "1"
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -37,6 +40,46 @@ def test_witness_hunt():
     proc = run_script("witness_hunt.py", "--max-n", "5")
     assert proc.returncode == 0
     assert "5 of 5 critical graphs up to n=5" in proc.stdout
+
+
+SWEEP_6_2 = """\
+n=2: cumulative 1 graphs, 2 checks, 0 findings
+n=3: cumulative 3 graphs, 6 checks, 0 findings
+n=4: cumulative 9 graphs, 18 checks, 0 findings
+n=5: cumulative 30 graphs, 60 checks, 0 findings
+n=6: cumulative 142 graphs, 284 checks, 0 findings
+cycle:5: checked s=1..2
+cycle:7: checked s=1..2
+cycle:9: checked s=1..2
+
+total: 142 connected graphs, 290 persistence checks
+no associated prime of J^s was missing from J^(s+1)
+"""
+
+
+def test_persistence_sweep_report():
+    proc = run_script("persistence_sweep.py", "--max-n", "6", "--s-max", "2")
+    assert proc.returncode == 0
+    out = re.sub(r" \(\d+\.\ds\)$", "", proc.stdout, flags=re.M)
+    assert re.sub(r", \d+\.\ds$", "", out, flags=re.M) == SWEEP_6_2
+
+
+def _hunt_digest(max_n):
+    proc = run_script("witness_hunt.py", "--max-n", str(max_n))
+    assert proc.returncode == 0
+    out = re.sub(r" \(\d+\.\ds\)\n$", "\n", proc.stdout)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_witness_hunt_report():
+    # 19 lines ending "17 of 17 critical graphs up to n=7 ...".
+    assert _hunt_digest(7) == "a256aee8bcf0178883eebf8096f66ada9981896b4f586e3689556d103bde5830"
+
+
+@pytest.mark.skipif(not EXTENDED, reason="set COVERIDEAL_EXTENDED=1 to run the heavy check")
+def test_witness_hunt_report_extended():
+    # "34 of 34 critical graphs up to n=8 ...".
+    assert _hunt_digest(8) == "3a3bd03fe828c8981f3da2754e23d76776817ebb11c935a7a6e0e87499b4cd3c"
 
 
 def test_decompose_powers():
