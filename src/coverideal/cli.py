@@ -292,7 +292,7 @@ def _cmd_decompose(args):
 
 def _cmd_verify(args):
     G, source = _load_graph(args)
-    if args.power < 1:
+    if args.which != "technical-lemma" and args.power < 1:
         raise CLIError("--power must be >= 1")
     inputs = {"graph": source, "which": args.which, "power": args.power}
     if args.which == "correspondence":
@@ -481,7 +481,3 @@ def main(argv=None) -> int:
         code = exc.code
         return 2 if code is None else int(code)
     return exit_code(_run, args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -59,32 +59,28 @@ class ConjectureWitness:
     expanded_critical: bool
 
 
+def _copies(component: IrreducibleIdeal, s: int) -> list[int]:
+    """Shadows kept per vertex by a component of J^s: s - a + 1 at x_v^a,
+    0 off the support.  The component's shadow graph is
+    ``replicate(G, _copies(component, s))``."""
+    copies = [0] * component.nvars
+    for v, a in component.exps:
+        copies[v] = s - a + 1
+    return copies
+
+
 def component_to_Y(component: IrreducibleIdeal, s: int) -> frozenset[int]:
     """Shadow set in the s-th expansion matching a component of J^s.
 
-    A variable with exponent a contributes its first s - a + 1 shadows;
-    shadow (i, j) sits at index i*s + (j - 1).
+    Vertex v keeps its first _copies(component, s)[v] shadows, which sit
+    at indices v*s, v*s + 1, ... of the expansion.
     """
     if s < 1:
         raise ValueError("expansion order must be >= 1")
     for v, e in component.exps:
         if not 1 <= e <= s:
             raise ValueError(f"exponent {e} at variable {v} outside 1..{s}")
-    return frozenset(
-        i * s + j for i, a in component.exps for j in range(s - a + 1)
-    )
-
-
-def _shadow_graph(G: Graph, component: IrreducibleIdeal, s: int) -> Graph:
-    """Induced subgraph of the s-th expansion on the component's shadow set.
-
-    Built directly as a replication: a variable with exponent a keeps
-    s - a + 1 shadows, a variable outside the support none.
-    """
-    copies = [0] * G.n
-    for v, a in component.exps:
-        copies[v] = s - a + 1
-    return replicate(G, copies)
+    return frozenset(v * s + j for v, c in enumerate(_copies(component, s)) for j in range(c))
 
 
 def _decomposition_of_power(
@@ -114,8 +110,7 @@ def verify_correspondence(
     out = []
     for comp in decomp:
         Y = component_to_Y(comp, s)
-        H = _shadow_graph(G, comp, s)
-        critical, chi, _ = is_critical(H)
+        critical, chi, _ = is_critical(replicate(G, _copies(comp, s)))
         out.append(
             ComponentCorrespondence(
                 component=comp,
@@ -133,29 +128,26 @@ def converse_correspondence(
 ) -> list[IrreducibleIdeal]:
     """Critical canonical shadow sets whose component is absent from J(G)^s.
 
-    Enumerates every candidate exponent vector (support with exponents in
-    1..s), keeps those whose shadow set induces a critically (s+1)-chromatic
-    subgraph of the s-th expansion, and returns the ones missing from the
-    decomposition.  An empty list is the expected outcome.  A caller that
-    already holds J(G)^s passes it as Js; otherwise it is built from J(G).
+    Walks every copy vector in 0..s per vertex (the image of _copies), keeps
+    those whose replication is critically (s+1)-chromatic, and returns the
+    components they read as that are missing from the decomposition, in
+    its order.  A vector with at most s shadows cannot reach s+1 colours.
+    An empty list is the expected outcome.  A caller that already holds
+    J(G)^s passes it as Js; otherwise it is built from J(G).
     """
     decomp = set(_decomposition_of_power(G, s, Js))
     missing = []
-    for r in range(1, G.n + 1):
-        for support in combinations(range(G.n), r):
-            for exps in product(range(1, s + 1), repeat=r):
-                size = sum(s - a + 1 for a in exps)
-                if size <= s:
-                    continue
-                comp = IrreducibleIdeal(G.n, tuple(zip(support, exps)))
-                H = _shadow_graph(G, comp, s)
-                chi, _ = chromatic_number(H)
-                if chi != s + 1:
-                    continue
-                critical, _, _ = is_critical(H)
-                if critical and comp not in decomp:
-                    missing.append(comp)
-    return missing
+    for copies in product(range(s + 1), repeat=G.n):
+        if sum(copies) <= s:
+            continue
+        H = replicate(G, copies)
+        if chromatic_number(H)[0] != s + 1 or not is_critical(H)[0]:
+            continue
+        # The inverse of _copies: c shadows read as exponent s - c + 1.
+        comp = IrreducibleIdeal(G.n, tuple((v, s - c + 1) for v, c in enumerate(copies) if c))
+        if comp not in decomp:
+            missing.append(comp)
+    return sorted(missing, key=IrreducibleIdeal.sort_key)
 
 
 def persistence_check(G: Graph, s: int) -> tuple[bool, list[frozenset[int]]]:

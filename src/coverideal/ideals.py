@@ -275,69 +275,46 @@ class IrreducibleIdeal:
         return tuple(v for v, _ in self.exps), tuple(e for _, e in self.exps)
 
 
-def _dual_ranks(I: MonomialIdeal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Componentwise maximum a of the generators, the ranks of their dual
-    exponents (one row per generator) and the value table of those ranks.
+def _intersect(R: np.ndarray) -> list[tuple[int, ...]]:
+    """Minimal rank rows of the intersection of the irreducible ideals whose
+    exponent ranks are the rows of R, met in row order.
 
-    Every row along the chain is an lcm of dual pure powers, so its
-    exponents are zero or dual exponents: one value table serves the whole
-    chain, rank 0 is exponent 0, and rows are ranked once and decoded once.
+    The running generator set K starts as the unit ideal, one zero row, and
+    is held transposed into per-field bitsets over row slots: ``rows[slot]``
+    is a rank tuple, or None once the row has died; ``alive`` is the bitset
+    of live slots and ``above[v][r]`` the bitset of slots whose rank at v
+    exceeds r (so ``above[v][-1]``, past the largest rank, stays 0).  Bits of
+    dead slots may linger in ``above``; every screen masks them with
+    ``alive``.  Once dead slots outnumber the live ones, the live rows take
+    the lowest slots in order and the bitsets are rebuilt.
+
+    Meeting K with one irreducible ideal sig: for monomial ideals the
+    intersection distributes over generator sums, and meeting one pure
+    power x_v^e sends each row g to lcm(g, x_v^e); the minimal rows of the
+    union of those images over the support of sig are the answer.  Rows
+    already inside the irreducible ideal are fixed and stay minimal: every
+    image is a proper multiple of a row of K, so an image dividing a passed
+    row would make that row non-minimal in K.  A raised row g is below sig
+    on the whole support, so its image c_v just writes sig_v at v, and a
+    live row h fails to divide c_v iff h exceeds g away from v or exceeds
+    sig_v at v.  Images of one g never divide each other, so all of g's
+    images are screened before any is added; a kept image then evicts the
+    rows added earlier in this step that it divides (a passed row cannot be
+    one, by K's minimality).
     """
-    M = _exponent_matrix(I.gens, I.nvars, _max_exponent(I.gens) + 1)
-    amax = M.max(axis=0)
-    sigmas = np.where(M > 0, amax + 1 - M, np.uint64(0))
-    values, R = _rank_columns(np.vstack([sigmas, np.zeros((1, I.nvars), dtype=np.uint64)]))
-    return amax, R[:-1], values
-
-
-class _SlicedRows:
-    """The chain's rows K, transposed into per-field bitsets over row slots.
-
-    ``rows[slot]`` is a rank tuple, or None once the row has died; ``alive``
-    is the bitset of live slots and ``above[v][r]`` the bitset of slots
-    whose rank at v exceeds r (so ``above[v][-1]``, past the largest rank,
-    stays 0).  Bits of dead slots may linger in ``above``; every screen
-    masks them with ``alive``.  K starts as the unit ideal, one zero row.
-    """
-
-    def __init__(self, tops: list[int]):
-        self.tops = tops
-        self.rows = [(0,) * len(tops)]
-        self.alive = 1
-        self.above = [[0] * (t + 1) for t in tops]
-
-    def renumber(self) -> None:
-        """Give the live rows the lowest slots in order and rebuild the bitsets."""
-        self.rows = [g for g in self.rows if g is not None]
-        self.above = _above(np.array(self.rows, dtype=np.intp), self.tops)
-        self.alive = (1 << len(self.rows)) - 1
-
-    def meet(self, sig: tuple[int, ...]) -> None:
-        """K becomes the minimal rows of K meet the irreducible ideal with ranks sig.
-
-        For monomial ideals the intersection distributes over generator
-        sums, and meeting one pure power x_v^e sends each row g to
-        lcm(g, x_v^e); the minimal rows of the union of those images over
-        the support of sig are the answer.  Rows already inside the
-        irreducible ideal are fixed and stay minimal: every image is a
-        proper multiple of a row of K, so an image dividing a passed row
-        would make that row non-minimal in K.  A raised row g is below
-        sig on the whole support, so its image c_v just writes sig_v at v,
-        and a live row h fails to divide c_v iff h exceeds g away from v
-        or exceeds sig_v at v.  Images of one g never divide each other,
-        so all of g's images are screened before any is added; a kept
-        image then evicts the rows added earlier in this step that it
-        divides (a passed row cannot be one, by K's minimality).
-        """
-        above, rows = self.above, self.rows
+    tops = R.max(axis=0).tolist()
+    rows = [(0,) * len(tops)]
+    alive = 1
+    above = [[0] * (t + 1) for t in tops]
+    for sig in map(tuple, R.tolist()):
         support = [v for v, r in enumerate(sig) if r]
         inside = 0
         for v in support:
             inside |= above[v][sig[v] - 1]
-        raised = self.alive & ~inside
+        raised = alive & ~inside
         if not raised:
-            return
-        alive = self.alive & inside
+            continue
+        alive &= inside
         new = 0
         for slot in _members(raised):
             g = rows[slot]
@@ -369,9 +346,11 @@ class _SlicedRows:
                         above_u[k] |= bit
                 alive |= bit
                 new |= bit
-        self.alive = alive
         if len(rows) > 2 * alive.bit_count():
-            self.renumber()
+            rows = [g for g in rows if g is not None]
+            above = _above(np.array(rows, dtype=np.intp), tops)
+            alive = (1 << len(rows)) - 1
+    return [g for g in rows if g is not None]
 
 
 @lru_cache(maxsize=1)
@@ -385,9 +364,9 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
     the minimal generators of the intersection of those ideals by the
     same exponent flip.  The intersection is built one generator at a
     time, in the generators' lex order, from the unit ideal, keeping the
-    intermediate generator set K minimal.  K is held bit-sliced
-    (``_SlicedRows``), so each step's inside test and divisor screens are
-    a few big-int operations over all of K at once.
+    intermediate generator set K minimal.  K is held bit-sliced, so each
+    step's inside test and divisor screens are a few big-int operations
+    over all of K at once.
 
     Memoized for the last ideal only (``cache_info()``, ``cache_clear()``):
     every reuse is of the ideal just decomposed, as when
@@ -398,14 +377,19 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
         raise ValueError("the zero ideal has no irreducible decomposition")
     if any(sum(g) == 0 for g in I.gens):
         raise ValueError("the unit ideal has no irreducible decomposition")
-    amax, R, values = _dual_ranks(I)
-    K = _SlicedRows(R.max(axis=0).tolist())
-    for sig in map(tuple, R.tolist()):
-        K.meet(sig)
-    ranks = np.array([g for g in K.rows if g is not None], dtype=np.intp)
-    top = [a + 1 for a in amax.tolist()]
+    M = _exponent_matrix(I.gens, I.nvars, _max_exponent(I.gens) + 1)
+    top = M.max(axis=0) + np.uint64(1)
+    # Every row along the chain is an lcm of dual pure powers, so its
+    # exponents are zero or dual exponents: one value table, with a zero
+    # row so that rank 0 is exponent 0, serves the whole chain, and rows
+    # are ranked once and decoded once.  Flipping the table back to
+    # generator exponents makes the decode read component exponents.
+    zero = np.zeros((1, I.nvars), dtype=np.uint64)
+    values, R = _rank_columns(np.vstack([np.where(M > 0, top - M, np.uint64(0)), zero]))
+    values = np.where(values > 0, top - values, np.uint64(0))
+    ranks = np.array(_intersect(R[:-1]), dtype=np.intp)
     comps = [
-        IrreducibleIdeal(I.nvars, tuple((v, top[v] - e) for v, e in enumerate(c) if e))
+        IrreducibleIdeal(I.nvars, tuple((v, e) for v, e in enumerate(c) if e))
         for c in values[ranks, np.arange(I.nvars)].tolist()
     ]
     return tuple(sorted(comps, key=IrreducibleIdeal.sort_key))

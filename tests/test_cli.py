@@ -267,6 +267,12 @@ class TestVerifyCommand:
         )
         assert code == 2 and "error:" in err
 
+    def test_technical_lemma_ignores_power(self, capsys):
+        lemma = ("verify", "--builtin", "cycle:5", "technical-lemma", "--W", "0", "--b", "1")
+        code, out, err = run_cli(capsys, *lemma, "--power", "0")
+        assert (code, err) == (0, "")
+        assert out == run_cli(capsys, *lemma)[1]
+
     def test_technical_lemma_range_checked(self, capsys):
         code, _, err = run_cli(
             capsys,

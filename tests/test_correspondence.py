@@ -17,7 +17,7 @@ from coverideal import correspondence
 from coverideal.coloring import b_fold_chromatic, chromatic_number, is_critical
 from coverideal.correspondence import (
     PersistenceFinding,
-    _shadow_graph,
+    _copies,
     component_to_Y,
     conjecture_search,
     converse_correspondence,
@@ -30,12 +30,15 @@ from coverideal.correspondence import (
 )
 from coverideal.corpus import connected_graphs
 from coverideal.graphs import (
+    build_graph,
     expand,
     family,
     induced_subgraph,
     maximal_independent_sets,
     mycielski,
+    path_graph,
     power_expansion,
+    replicate,
 )
 from coverideal.ideals import (
     IrreducibleIdeal,
@@ -44,7 +47,7 @@ from coverideal.ideals import (
     irreducible_decomposition,
     power,
 )
-from oracles import brute_replicate, neighbors
+from oracles import brute_replicate, neighbors, perfect_graph_components
 
 EXTENDED = os.environ.get("COVERIDEAL_EXTENDED") == "1"
 
@@ -82,7 +85,7 @@ def _assert_shadow_graphs_match_oracle(G, s):
     for comp in irreducible_decomposition(power(cover_ideal(G), s)):
         a = dict(comp.exps)
         copies = [s - a[v] + 1 if v in a else 0 for v in range(G.n)]
-        H = _shadow_graph(G, comp, s)
+        H = replicate(G, _copies(comp, s))
         assert H == brute_replicate(G, copies)
         assert H == induced_subgraph(Gs, component_to_Y(comp, s))
 
@@ -173,6 +176,35 @@ class TestConverseCorrespondence:
         J2 = power(cover_ideal(family("cycle", 5)), 2)
         with pytest.raises(ValueError, match="another graph"):
             converse_correspondence(family("cycle", 7), 2, J2)
+
+    def test_missing_components_in_decomposition_order(self):
+        # Against J(P5)^2 the critical shadow sets of C5 that need the
+        # edge 04 are missing; they come sorted as components are.
+        J2 = power(cover_ideal(path_graph(5)), 2)
+        missing = converse_correspondence(family("cycle", 5), 2, J2)
+        assert [c.exps for c in missing] == [
+            ((0, 2), (1, 2), (2, 2), (3, 2), (4, 2)),
+            ((0, 1), (4, 2)),
+            ((0, 2), (4, 1)),
+        ]
+
+
+def _squared_path(n):
+    return build_graph(n, [(i, i + d) for d in (1, 2) for i in range(n - d)])
+
+
+class TestDictionaryOnSquaredPaths:
+    """The dictionary on chordal graphs past brute-force size: squared paths
+    are perfect, so their components have the Francisco-Ha-Van Tuyl closed
+    form, and every component's shadow graph must be critical."""
+
+    @pytest.mark.parametrize("n, s, count", [(20, 2, 92), (16, 3, 129)], ids=["P20sq_s2", "P16sq_s3"])
+    def test_components_match_closed_form_and_verify(self, n, s, count):
+        G = _squared_path(n)
+        results = verify_correspondence(G, s)
+        assert len(results) == count
+        assert {r.component for r in results} == perfect_graph_components(G, s)
+        assert all(r.verified_critical and r.chi == s + 1 for r in results)
 
 
 class TestPersistence:
