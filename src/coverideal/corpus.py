@@ -21,10 +21,19 @@ Two things keep that cheap without changing what is kept:
   representatives in its bucket, by bitmask backtracking within color
   cells; the same matcher enumerates Aut(parent).
 
+The critical census (``critical_graphs``) takes one route for every n: it
+screens the same extension stream before deduplicating, keeping only
+connected candidates in which no vertex's neighborhood lies inside a
+non-neighbor's, as in every critical graph on two or more vertices.  A
+screen that is an isomorphism invariant drops whole classes, so the
+survivors keep their first-kept representatives, labels and order, and
+the level the screens discard is never built.
+
 Expected class counts (1, 2, 4, 11, 34, 156, 1044 for n = 1..7) are frozen
 into the test suite, and ``tests/oracles.py`` keeps the pairwise route
 (every extension, an invariant bucket and a joint isomorphism test per
-pair) as the cross-check of the representatives.
+pair) as the cross-check of the representatives, and the filter-afterwards
+census as the cross-check of the screened one.
 """
 
 from __future__ import annotations
@@ -32,8 +41,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .coloring import chromatic_number, is_critical
-from .graphs import Graph, automorphisms, build_graph, first_of_each_class, is_connected
+from .coloring import is_critical
+from .graphs import (
+    Graph,
+    _members,
+    automorphisms,
+    build_graph,
+    first_of_each_class,
+    is_connected,
+)
 
 __all__ = [
     "all_graphs",
@@ -54,6 +70,36 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(G for G in all_graphs(n) if is_connected(G))
 
 
+def _extensions(n: int, dmin: int):
+    """Orbit-pruned extensions of the level below, in census order.
+
+    Every graph on n vertices with minimum degree >= dmin extends a
+    representative of ``graphs_with_min_degree(n - 1, max(dmin - 1, 0))``
+    by a vertex n - 1 whose neighborhood S covers every parent vertex of
+    degree < dmin and has size >= dmin.  The neighborhoods of one parent
+    come in ``combinations`` order of their optional part, and only the
+    first member of each orbit under Aut(parent) is extended.  A child's
+    masks are the parent's, with bit n - 1 set on the members of S.
+    """
+    new = 1 << n - 1
+    for parent in graphs_with_min_degree(n - 1, max(dmin - 1, 0)):
+        deficient = [v for v in range(parent.n) if parent.degree(v) < dmin]
+        optional = [v for v in range(parent.n) if parent.degree(v) >= dmin]
+        need = max(dmin - len(deficient), 0)
+        base = sum(1 << v for v in deficient)
+        auts = automorphisms(parent)
+        for size in range(need, len(optional) + 1):
+            seen: set[int] = set()
+            for extra in combinations(optional, size):
+                bits = sum(1 << v for v in extra)
+                if bits in seen:
+                    continue
+                seen.update(sum(1 << p[v] for v in extra) for p in auts)
+                S = base | bits
+                masks = [m | new if S >> v & 1 else m for v, m in enumerate(parent.masks)]
+                yield Graph(n, (*masks, S))
+
+
 @lru_cache(maxsize=None)
 def graphs_with_min_degree(n: int, dmin: int) -> tuple[Graph, ...]:
     """All graphs on n vertices with minimum degree >= dmin, up to isomorphism.
@@ -70,47 +116,53 @@ def graphs_with_min_degree(n: int, dmin: int) -> tuple[Graph, ...]:
         return ()
     if n == 1:
         return (build_graph(1, []),)
+    return tuple(first_of_each_class(_extensions(n, dmin)))
 
-    def candidates():
-        for parent in graphs_with_min_degree(n - 1, max(dmin - 1, 0)):
-            deficient = frozenset(v for v in range(parent.n) if parent.degree(v) < dmin)
-            optional = [v for v in range(parent.n) if v not in deficient]
-            need = max(dmin - len(deficient), 0)
-            base_edges = parent.edges()
-            auts = automorphisms(parent)
-            for size in range(need, len(optional) + 1):
-                seen: set[tuple[int, ...]] = set()
-                for extra in combinations(optional, size):
-                    if extra in seen:
-                        continue
-                    seen.update(tuple(sorted(p[v] for v in extra)) for p in auts)
-                    S = sorted(deficient | set(extra))
-                    yield build_graph(n, base_edges + [(u, n - 1) for u in S])
 
-    return tuple(first_of_each_class(candidates()))
+def _dominated(G: Graph) -> bool:
+    """Whether some vertex u has N(u) inside N(v) for a non-neighbor v != u.
+
+    Such a u fails criticality: any coloring of G - u extends to G by
+    giving u the color of v.
+    """
+    full = (1 << G.n) - 1
+    for u, mu in enumerate(G.masks):
+        for v in _members(full ^ mu ^ 1 << u):
+            if not mu & ~G.masks[v]:
+                return True
+    return False
 
 
 @lru_cache(maxsize=None)
 def critical_graphs(n: int) -> tuple[tuple[Graph, int], ...]:
     """All vertex-critical graphs on exactly n vertices, with chromatic number.
 
-    For n <= 7 this filters the connected representatives directly.  For
-    n == 8 the candidate pool shrinks first: a critical graph with
-    chromatic number k has minimum degree >= k - 1 (otherwise a proper
+    One route for every n >= 2: the extensions that
+    ``graphs_with_min_degree(n, d)`` deduplicates are screened first, and
+    ``is_critical`` runs on the first candidate of each class that passes:
+
+    - connected: a critical graph on two or more vertices is connected;
+    - not ``_dominated``: a vertex whose neighborhood lies inside a
+      non-neighbor's never lowers the chromatic number when deleted.
+
+    Both screens are isomorphism invariants, so the first candidate of each
+    surviving class is the one the unscreened deduplication keeps, and the
+    representatives come in its order with its labels.
+
+    The degree bound d is 0 for n <= 7 and 3 for n == 8.  A critical graph
+    with chromatic number k has minimum degree >= k - 1 (otherwise a proper
     (k-1)-coloring of G - v would extend across a low-degree v), the only
     2-critical graph is a single edge, and every 3-critical graph is an odd
     cycle -- so on 8 vertices only k >= 4 survives, forcing degree >= 3.
     """
     if not 1 <= n <= 8:
         raise ValueError("supported vertex counts are 1..8")
-    if n <= 7:
-        pool = connected_graphs(n)
-    else:
-        pool = tuple(
-            G for G in graphs_with_min_degree(8, 3) if is_connected(G)
-        )
+    if n == 1:
+        return ((build_graph(1, []), 1),)
+    candidates = _extensions(n, 3 if n == 8 else 0)
+    screened = (G for G in candidates if is_connected(G) and not _dominated(G))
     out = []
-    for G in pool:
+    for G in first_of_each_class(screened):
         critical, chi, _ = is_critical(G)
         if critical:
             out.append((G, chi))

@@ -4,19 +4,23 @@ machinery with the package: plain backtracking, full subset enumeration,
 permutation search, and decomposition by recursive generator splitting.
 The pairwise census route (an invariant bucket and a jointly refined
 isomorphism test per pair) is the package's former deduplication, kept as
-the cross-check of the certificate route.  The dense Bland-rule Fraction
-tableau is the package's former covering-LP solver, kept as the
-cross-check of the revised simplex.  ``b_fold_via_membership`` reaches
-chi_b through the package's cover-ideal membership, as a cross-check of
-the coloring route.  Oracles read a neighborhood only through
-``neighbors``."""
+the cross-check of the certificate route; ``filtered_census`` is the
+package's former critical census, which filters whole deduplicated levels
+with ``is_critical``, kept as the cross-check of the screened one.  The
+dense Bland-rule Fraction tableau is the package's former covering-LP
+solver, kept as the cross-check of the revised simplex.
+``b_fold_via_membership`` reaches chi_b through the package's cover-ideal
+membership, as a cross-check of the coloring route.  Oracles read a
+neighborhood only through ``neighbors``."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from coverideal.graphs import Graph, build_graph
+from coverideal.coloring import is_critical
+from coverideal.corpus import connected_graphs, graphs_with_min_degree
+from coverideal.graphs import Graph, build_graph, is_connected
 from coverideal.ideals import (
     IrreducibleIdeal,
     MonomialIdeal,
@@ -323,6 +327,22 @@ def pairwise_dedupe(candidates) -> list[Graph]:
             bucket.append(G)
             reps.append(G)
     return reps
+
+
+def filtered_census(n: int) -> list[tuple[Graph, int]]:
+    """The critical census as the package filtered it after deduplication:
+    every connected representative on n <= 7 vertices, or every connected
+    one of minimum degree >= 3 on 8, kept when ``is_critical`` holds."""
+    if n <= 7:
+        pool = connected_graphs(n)
+    else:
+        pool = [G for G in graphs_with_min_degree(8, 3) if is_connected(G)]
+    out = []
+    for G in pool:
+        critical, chi, _ = is_critical(G)
+        if critical:
+            out.append((G, chi))
+    return out
 
 
 # ---------------------------------------------------------------------------

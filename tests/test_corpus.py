@@ -9,8 +9,12 @@ import hashlib
 import os
 
 import pytest
+from conftest import graphs
+from hypothesis import given
 
+from coverideal.coloring import is_critical
 from coverideal.corpus import (
+    _dominated,
     all_graphs,
     connected_graphs,
     critical_graphs,
@@ -25,6 +29,7 @@ from coverideal.graphs import (
 from oracles import (
     brute_chromatic,
     delete_vertex,
+    filtered_census,
     neighbors,
     pairwise_dedupe,
     unpruned_extensions,
@@ -139,6 +144,58 @@ class TestFrozenCensus:
         )
 
 
+def _census_rows(census):
+    return [(G.n, G.edges(), chi) for G, chi in census]
+
+
+class TestCensusAgainstFilteredRoute:
+    """Screening before deduplication keeps the census that filtering each
+    deduplicated level with ``is_critical`` gives, in the same order and
+    with the same labelling."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_same_census_in_order(self, n):
+        assert _census_rows(critical_graphs(n)) == _census_rows(filtered_census(n))
+
+    @pytest.mark.skipif(
+        not EXTENDED, reason="set COVERIDEAL_EXTENDED=1 to run the 8-vertex level"
+    )
+    def test_eight_vertices(self):
+        assert _census_rows(critical_graphs(8)) == _census_rows(filtered_census(8))
+
+
+def _dominated_vertices(G):
+    """Vertices u with N(u) inside N(v) for some non-neighbor v != u."""
+    return [
+        u
+        for u in range(G.n)
+        if any(
+            v != u and v not in neighbors(G, u) and neighbors(G, u) <= neighbors(G, v)
+            for v in range(G.n)
+        )
+    ]
+
+
+def _assert_dominated_vertices_fail(G):
+    dominated = _dominated_vertices(G)
+    assert _dominated(G) == bool(dominated)
+    assert set(dominated) <= set(is_critical(G)[2])
+
+
+class TestDominationScreen:
+    """A dominated vertex never lowers the chromatic number when deleted:
+    a coloring of G - u extends to u by the color of its dominating v."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_small_graph(self, n):
+        for G in all_graphs(n):
+            _assert_dominated_vertices_fail(G)
+
+    @given(graphs(min_n=8, max_n=14))
+    def test_random_larger_graphs(self, G):
+        _assert_dominated_vertices_fail(G)
+
+
 def _chi_histogram(census):
     hist: dict[int, int] = {}
     for _, chi in census:
@@ -187,10 +244,11 @@ class TestCriticalCensus:
             critical_graphs(9)
 
     def test_structure_of_every_representative(self):
-        for n in range(2, 8):
+        for n in range(2, 9):
             for G, chi in critical_graphs(n):
                 assert is_connected(G)
                 assert min(len(neighbors(G, v)) for v in range(G.n)) >= chi - 1
+                assert not _dominated_vertices(G)
 
     def test_oracle_criticality_small(self):
         for n in range(2, 6):
