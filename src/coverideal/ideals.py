@@ -3,15 +3,25 @@
 Monomials are exponent tuples indexed by vertex.  All operations are exact
 and return canonically sorted data so that equal ideals print identically.
 
+Packed rows.  A row of exponents is held as one Python int of
+fixed-width fields, variable 0 in the most significant field and each
+field as many whole bytes as the step's largest exponent needs.  A
+product of two monomials is then one integer addition, equal rows are
+equal ints, and the integer order is the row-lex order.  ``to_bytes``
+unpacks rows; with one-byte fields a column of the unpacked rows is one
+byte string, which ``bytes.translate`` maps in one pass.
+
 Rank rows.  Every exponent matrix is rank-compressed column by column
 before it is minimalized or dualized: an exponent is replaced by its index
-among the sorted distinct values its column can take in that step (the
-given generators in ``monomial_ideal``, every pairwise sum in
-``multiply``, zero and the dual exponents in ``irreducible_decomposition``).
-Ranks preserve every ``<=`` and ``max`` within a column, so divisibility
-and the row-lex order read the same on ranks as on exponents, and the
-rank sum is a degree under which a proper divisor always has the smaller
-degree.  Ranks are stored in the narrowest unsigned type that holds them.
+among the sorted distinct values its column takes in that step (the
+distinct generators in ``monomial_ideal`` and products in ``multiply``,
+zero and the dual exponents in ``irreducible_decomposition``).  Ranks
+preserve every ``<=`` and ``max`` within a column, so divisibility and
+the row-lex order read the same on ranks as on exponents, and the rank
+sum is a degree under which a proper divisor always has the smaller
+degree.  A column of one-byte exponents has at most 256 distinct values,
+so their rank rows are byte strings too; wider exponents give rank rows
+as tuples.
 
 Bit-sliced rows.  Wherever rows are screened for divisors they are held
 transposed: rows live in numbered slots, and for each variable v and rank
@@ -25,22 +35,17 @@ way, where whether a row lies inside an irreducible ideal is also a few
 ORs and ANDs.  Dead slots of K are renumbered away once they outnumber
 the live ones, so each int stays within about twice the size of K.
 
-Exponent limit.  Exponents are read into uint64 before they are ranked,
-so every exponent a step computes must stay below 2**64: the generators
-of ``monomial_ideal``, the sums of ``multiply``, and the largest
-exponent plus one in ``irreducible_decomposition``.  Beyond that a
-``ValueError`` names the limit.  Rank widths depend on how many distinct
-values a column holds, not on their size.
+Exponents may be any nonnegative ints; only the field width grows with
+them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import accumulate
+from functools import lru_cache
+from itertools import accumulate, compress, pairwise
 from operator import getitem, or_
-
-import numpy as np
 
 from .coloring import _multicover
 from .graphs import Graph, _members, minimal_vertex_covers
@@ -61,10 +66,6 @@ __all__ = [
 
 Monomial = tuple[int, ...]
 
-# The index matrix of each block of products holds at most _PRODUCT_BLOCK
-# entries.
-_PRODUCT_BLOCK = 1 << 20
-
 
 def _divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
@@ -74,81 +75,130 @@ def _max_exponent(gens) -> int:
     return max((max(g, default=0) for g in gens), default=0)
 
 
-def _exponent_matrix(rows, nvars: int, top: int) -> np.ndarray:
-    """Rows as a uint64 matrix; top is the largest value the step computes."""
-    if top >= 1 << 64:
-        raise ValueError(f"exponents up to {top} exceed the 64-bit limit 2**64 - 1")
-    return np.array(rows, dtype=np.uint64).reshape(len(rows), nvars)
+def _width(top: int) -> int:
+    """Bytes per field of packed rows whose values reach top."""
+    return max(1, (top.bit_length() + 7) // 8)
 
 
-def _rows(arr: np.ndarray) -> tuple[Monomial, ...]:
-    return tuple(map(tuple, arr.tolist()))
+def _pack(g: Monomial, k: int) -> int:
+    if k == 1:
+        return int.from_bytes(bytes(g), "big")
+    return int.from_bytes(b"".join(e.to_bytes(k, "big") for e in g), "big")
 
 
-def _rank_columns(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value table V and rank matrix R of an exponent matrix, column by column.
-
-    R holds each entry's index among the distinct values of its column, in
-    the narrowest unsigned type that holds the largest, and V[r, v] the
-    r-th smallest value of column v; rows of V past a column's largest
-    value repeat it, so V adds no value that M lacks.
-    """
-    cols = np.arange(M.shape[1])
-    order = np.argsort(M, axis=0)
-    S = M[order, cols]
-    new = np.ones(M.shape, dtype=bool)
-    new[1:] = S[1:] != S[:-1]
-    sorted_ranks = np.cumsum(new, axis=0) - 1
-    top = sorted_ranks[-1].max(initial=0)
-    R = np.empty(M.shape, dtype=np.min_scalar_type(top))
-    R[order, cols] = sorted_ranks
-    V = np.repeat(S[-1:], top + 1, axis=0)
-    V[sorted_ranks, cols] = S
-    return V, R
+def _unpack(row: int, nvars: int, k: int) -> Monomial:
+    b = row.to_bytes(nvars * k, "big")
+    if k == 1:
+        return tuple(b)
+    return tuple(int.from_bytes(b[i : i + k], "big") for i in range(0, len(b), k))
 
 
-def _above(ranks: np.ndarray, tops: list[int]) -> list[list[int]]:
-    """The bitsets of a rank matrix's rows, one slot per row in row order.
+def _columns(rows: list[int], nvars: int, k: int) -> list:
+    """The columns of packed rows: byte strings for one-byte fields, else tuples."""
+    if k == 1:
+        buf = b"".join([r.to_bytes(nvars, "big") for r in rows])
+        return [buf[v::nvars] for v in range(nvars)]
+    return list(zip(*(_unpack(r, nvars, k) for r in rows)))
+
+
+def _distinct(col) -> list[int]:
+    """The distinct values of a column, ascending."""
+    if isinstance(col, bytes):
+        # Deleting the column's bytes from all 256 leaves the absent ones.
+        every = bytes.maketrans(b"", b"")
+        return list(every.translate(None, every.translate(None, col)))
+    return sorted(set(col))
+
+
+def _rank_rows(columns: list, orders: list[list[int]]) -> list:
+    """The rows of the columns with each value of column v replaced by its
+    index in ``orders[v]``: byte strings from byte columns, else tuples."""
+    n = len(columns)
+    if isinstance(columns[0], bytes):
+        buf = bytearray(len(columns[0]) * n)
+        for v, (col, order) in enumerate(zip(columns, orders)):
+            table = bytearray(256)
+            for r, x in enumerate(order):
+                table[x] = r
+            buf[v::n] = col.translate(table)
+        buf = bytes(buf)
+        return [buf[i : i + n] for i in range(0, len(buf), n)]
+    ranks = [dict(zip(order, range(len(order)))) for order in orders]
+    return list(zip(*([rank[x] for x in col] for col, rank in zip(columns, ranks))))
+
+
+def _bitset(flags: list[bool]) -> int:
+    """The int whose bit i is flags[i]."""
+    return int(bytes(flags[::-1]).translate(bytes.maketrans(b"\x00\x01", b"01")), 2)
+
+
+def _above(rows: list, tops: list[int]) -> list[list[int]]:
+    """The bitsets of rank rows, one slot per row in row order.
 
     ``above[v][r]``, for r up to ``tops[v]``, holds bit i iff row i has a
-    rank above r at v; the last one, past the largest rank, is 0.
+    rank above r at v; the last one, past the largest rank, is 0.  Each
+    column is read last slot first, so that ``int(·, 2)`` of its digits
+    puts slot i at bit i; a column of byte ranks gives the digits of each
+    r in one ``bytes.translate``.
     """
-    T = max(tops)
-    P = np.packbits(ranks.T[:, None, :] > np.arange(T)[:, None], axis=2, bitorder="little")
-    w = P.shape[2]
-    buf = P.tobytes()
+    n = len(tops)
+    if max(tops) < 256:
+        buf = b"".join(map(bytes, rows))[::-1]
+        cols = [buf[n - 1 - v :: n] for v in range(n)]
+        return [
+            [int(col.translate(b"0" * (r + 1) + b"1" * (255 - r)), 2) for r in range(t)] + [0]
+            for col, t in zip(cols, tops)
+        ]
+    cols = [col[::-1] for col in zip(*rows)]
     return [
-        [int.from_bytes(buf[(v * T + r) * w : (v * T + r + 1) * w], "little") for r in range(t)] + [0]
-        for v, t in enumerate(tops)
+        [int(bytes(49 if x > r else 48 for x in col), 2) for r in range(t)] + [0]
+        for col, t in zip(cols, tops)
     ]
 
 
-def _minimalize(R: np.ndarray) -> np.ndarray:
-    """The distinct divisibility-minimal rows of a rank matrix, row-lex sorted.
+def _minimalize(rows: list[int], nvars: int, k: int) -> list[int]:
+    """The divisibility-minimal rows among distinct packed rows given in
+    row-lex order, in that order.
 
-    The distinct rows take slots in (degree, row-lex) order and are held
+    The rank rows take slots in (degree, row-lex) order and are held
     bit-sliced once.  Two distinct rows of the same degree never divide
     each other, so the levels of equal degree are screened in ascending
     order, each against the minimal rows of lower degree: with ``kept``
     their slots, a kept row divides a candidate c iff it lies in no
     ``above[v][c_v]``, so c is minimal iff the OR of those bitsets,
-    masked to ``kept``, is all of ``kept``.
+    masked to ``kept``, is all of ``kept``.  A level's candidates come in
+    row-lex order, so each shares the partial ORs over the fields it has
+    in common with the candidate before; the top set bit of the XOR of
+    their packed rows tells how many fields that is.
     """
-    R = R[np.lexsort(R.T[::-1])]
-    new = np.ones(len(R), dtype=bool)
-    new[1:] = (R[1:] != R[:-1]).any(axis=1)
-    R = R[new]
-    degs = R.sum(axis=1, dtype=np.intp)
-    slots = np.argsort(degs, kind="stable")
-    cuts = (np.flatnonzero(np.diff(degs[slots])) + 1).tolist()
-    S = R[slots]
-    above = _above(S, R.max(axis=0).tolist())
-    keep = np.zeros(len(R), dtype=bool)
-    for lo, hi in zip([0, *cuts], [*cuts, len(R)]):
-        kept = int.from_bytes(np.packbits(keep[:lo], bitorder="little").tobytes(), "little")
+    columns = _columns(rows, nvars, k)
+    orders = [_distinct(col) for col in columns]
+    ranks = _rank_rows(columns, orders)
+    del columns
+    degs = list(map(sum, ranks))
+    slots = sorted(range(len(rows)), key=degs.__getitem__)
+    ranks = [ranks[i] for i in slots]
+    above = _above(ranks, [len(order) - 1 for order in orders])
+    sizes = [size for _, size in sorted(Counter(degs).items())]
+    packed = [rows[i] for i in slots]
+    bits = 8 * k * nvars
+    keep: list[bool] = []
+    kept = 0
+    for lo, hi in pairwise(accumulate(sizes, initial=0)):
         masked = [[a & kept for a in above_v] for above_v in above]
-        keep[lo:hi] = [reduce(or_, map(getitem, masked, c), 0) == kept for c in S[lo:hi].tolist()]
-    return R[np.sort(slots[keep])]
+        # ors[v] is the OR over the first v fields of the last candidate;
+        # prev differs from the level's first row in its first field.
+        ors = [0] * (nvars + 1)
+        prev = packed[lo] ^ (1 << (bits - 1))
+        flags = []
+        for c, x in zip(ranks[lo:hi], packed[lo:hi]):
+            for v in range((bits - (x ^ prev).bit_length()) // (8 * k), nvars):
+                ors[v + 1] = ors[v] | masked[v][c[v]]
+            flags.append(ors[nvars] == kept)
+            prev = x
+        kept |= _bitset(flags) << lo
+        keep += flags
+    return [rows[i] for i in sorted(compress(slots, keep))]
 
 
 @dataclass(frozen=True)
@@ -173,8 +223,9 @@ def monomial_ideal(nvars: int, gens) -> MonomialIdeal:
         return MonomialIdeal(nvars, ())
     if not nvars:
         return MonomialIdeal(0, ((),))  # the unit ideal of the ring with no variables
-    values, R = _rank_columns(_exponent_matrix(gens, nvars, _max_exponent(gens)))
-    return MonomialIdeal(nvars, _rows(values[_minimalize(R), np.arange(nvars)]))
+    k = _width(_max_exponent(gens))
+    rows = sorted({_pack(g, k) for g in gens})
+    return MonomialIdeal(nvars, tuple(_unpack(r, nvars, k) for r in _minimalize(rows, nvars, k)))
 
 
 def cover_ideal(G: Graph) -> MonomialIdeal:
@@ -197,24 +248,10 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         return MonomialIdeal(nvars, ())
     if not nvars:
         return I  # the unit ideal of the ring with no variables
-    top = _max_exponent(I.gens) + _max_exponent(J.gens)
-    VA, RA = _rank_columns(_exponent_matrix(I.gens, nvars, top))
-    VB, RB = _rank_columns(_exponent_matrix(J.gens, nvars, top))
-    # A product exponent is a sum of one value from each side, so ranking
-    # the few distinct sums ranks every product without forming the
-    # product matrix: VA[a, v] + VB[b, v] has rank sum_rank[a * len(VB) + b, v].
-    values, sum_rank = _rank_columns((VA[:, None, :] + VB[None, :, :]).reshape(-1, nvars))
-    # Rows of A are taken in blocks so each block's index matrix stays
-    # bounded; the index is taken in intp, as narrow ranks would overflow.
-    step = max(1, _PRODUCT_BLOCK // (len(RB) * nvars))
-    cols = np.arange(nvars)
-    R = np.concatenate(
-        [
-            sum_rank[RA[i : i + step, None].astype(np.intp) * len(VB) + RB, cols].reshape(-1, nvars)
-            for i in range(0, len(RA), step)
-        ]
-    )
-    return MonomialIdeal(nvars, _rows(values[_minimalize(R), cols]))
+    k = _width(_max_exponent(I.gens) + _max_exponent(J.gens))
+    B = [_pack(g, k) for g in J.gens]
+    rows = sorted({a + b for a in (_pack(g, k) for g in I.gens) for b in B})
+    return MonomialIdeal(nvars, tuple(_unpack(r, nvars, k) for r in _minimalize(rows, nvars, k)))
 
 
 def power(I: MonomialIdeal, s: int) -> MonomialIdeal:
@@ -275,9 +312,10 @@ class IrreducibleIdeal:
         return tuple(v for v, _ in self.exps), tuple(e for _, e in self.exps)
 
 
-def _intersect(R: np.ndarray) -> list[tuple[int, ...]]:
+def _intersect(R: list, tops: list[int]) -> list[tuple[int, ...]]:
     """Minimal rank rows of the intersection of the irreducible ideals whose
-    exponent ranks are the rows of R, met in row order.
+    exponent ranks are the rows of R, met in row order; ``tops[v]`` is the
+    largest rank at v.
 
     The running generator set K starts as the unit ideal, one zero row, and
     is held transposed into per-field bitsets over row slots: ``rows[slot]``
@@ -302,11 +340,10 @@ def _intersect(R: np.ndarray) -> list[tuple[int, ...]]:
     rows added earlier in this step that it divides (a passed row cannot be
     one, by K's minimality).
     """
-    tops = R.max(axis=0).tolist()
     rows = [(0,) * len(tops)]
     alive = 1
     above = [[0] * (t + 1) for t in tops]
-    for sig in map(tuple, R.tolist()):
+    for sig in R:
         support = [v for v, r in enumerate(sig) if r]
         inside = 0
         for v in support:
@@ -348,7 +385,7 @@ def _intersect(R: np.ndarray) -> list[tuple[int, ...]]:
                 new |= bit
         if len(rows) > 2 * alive.bit_count():
             rows = [g for g in rows if g is not None]
-            above = _above(np.array(rows, dtype=np.intp), tops)
+            above = _above(rows, tops)
             alive = (1 << len(rows)) - 1
     return [g for g in rows if g is not None]
 
@@ -377,22 +414,22 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
         raise ValueError("the zero ideal has no irreducible decomposition")
     if any(sum(g) == 0 for g in I.gens):
         raise ValueError("the unit ideal has no irreducible decomposition")
-    M = _exponent_matrix(I.gens, I.nvars, _max_exponent(I.gens) + 1)
-    top = M.max(axis=0) + np.uint64(1)
+    n = I.nvars
+    k = _width(_max_exponent(I.gens))
+    columns = _columns([_pack(g, k) for g in I.gens], n, k)
     # Every row along the chain is an lcm of dual pure powers, so its
-    # exponents are zero or dual exponents: one value table, with a zero
-    # row so that rank 0 is exponent 0, serves the whole chain, and rows
-    # are ranked once and decoded once.  Flipping the table back to
-    # generator exponents makes the decode read component exponents.
-    zero = np.zeros((1, I.nvars), dtype=np.uint64)
-    values, R = _rank_columns(np.vstack([np.where(M > 0, top - M, np.uint64(0)), zero]))
-    values = np.where(values > 0, top - values, np.uint64(0))
-    ranks = np.array(_intersect(R[:-1]), dtype=np.intp)
-    comps = [
-        IrreducibleIdeal(I.nvars, tuple((v, e) for v, e in enumerate(c) if e))
-        for c in values[ranks, np.arange(I.nvars)].tolist()
-    ]
-    return tuple(sorted(comps, key=IrreducibleIdeal.sort_key))
+    # exponents are zero or dual exponents a_v + 1 - m_v, which fall as m_v
+    # rises: zero and then the generator exponents in descending order rank
+    # the whole chain once, and orders[v][r] reads rank r back as the
+    # component exponent.
+    orders = [[0, *reversed([x for x in _distinct(col) if x])] for col in columns]
+    ranks = _intersect(_rank_rows(columns, orders), [len(order) - 1 for order in orders])
+    # Decoded straight to sort keys (support, exponents), so each component
+    # is built once, in canonical order.
+    keys = sorted(
+        (tuple(compress(range(n), c)), tuple(filter(None, map(getitem, orders, c)))) for c in ranks
+    )
+    return tuple(IrreducibleIdeal(n, tuple(zip(*key))) for key in keys)
 
 
 def associated_primes(I: MonomialIdeal) -> list[frozenset[int]]:

@@ -55,8 +55,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 __all__ = ["solve_cover_lp"]
 
 # Each pivot costs O(n^2) on the basis and O(m n) to price the m sets.
@@ -74,6 +72,8 @@ def _price(incidence, Y, D):
     taken in int64 while no partial sum can reach 2^63, and in Python
     integers beyond.
     """
+    import numpy as np
+
     wide = max(map(abs, Y)) * incidence.shape[1] >= 2**63
     totals = incidence @ np.array(Y, dtype=object if wide else np.int64)
     j = int(np.argmax(totals))  # the first of equal maxima
@@ -112,6 +112,9 @@ def solve_cover_lp(n: int, sets) -> tuple[Fraction, list[Fraction]]:
     covered = set().union(*sets)
     if covered != set(range(n)):
         raise ValueError("every point must belong to some set")
+
+    # Only the pricing uses numpy, so no process without an LP pays its start-up.
+    import numpy as np
 
     cols = [tuple(sorted(s)) for s in sets]
     incidence = np.zeros((m, n), dtype=np.int64)

@@ -588,22 +588,56 @@ class TestInternalErrors:
         assert err == f"error: the input needs more than Python's recursion limit of {limit} frames\n"
 
 
+def run_module(*args, block_numpy=False) -> subprocess.CompletedProcess:
+    """``python -m coverideal *args`` in a child process that imports the
+    package this suite imported, installed or not.  With ``block_numpy``
+    every import of numpy in the child fails.  With no arguments the child
+    only imports the package."""
+    package_root = os.path.dirname(os.path.dirname(coverideal.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    code = "import sys\n"
+    if block_numpy:
+        code += "sys.modules['numpy'] = None\n"
+    if not args:
+        code += "import coverideal\n"
+    else:
+        code += "import runpy\nsys.argv[0] = 'coverideal'\nrunpy.run_module('coverideal', run_name='__main__')\n"
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
 class TestConsoleEntryPoint:
     def test_module_invocation(self):
-        # The child must import the package this suite imported, installed or not.
-        package_root = os.path.dirname(os.path.dirname(coverideal.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "coverideal", "invariants", "--builtin", "cycle:9", "--json"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=env,
-        )
+        proc = run_module("invariants", "--builtin", "cycle:9", "--json")
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["results"]["chi"] == 3
         assert report["results"]["critical"] is True
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (),
+            ("--help",),
+            ("decompose", "--builtin", "mycielski-cycle:5", "--power", "2", "--json"),
+            ("verify", "correspondence", "--builtin", "mycielski-cycle:5", "--power", "3", "--json"),
+        ],
+        ids=["import", "help", "decompose", "verify"],
+    )
+    def test_runs_without_numpy(self, args):
+        # Only the exact LP prices with numpy; powers, decompositions and
+        # the correspondence must start and answer without it.
+        proc = run_module(*args, block_numpy=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_module(*args).stdout
+
+    def test_chi_f_loads_numpy(self):
+        proc = run_module("invariants", "--builtin", "cycle:5", "--json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["results"]["chi_f"] == "5/2"
