@@ -19,6 +19,12 @@ from coverideal.correspondence import persistence_sweep
 from coverideal.graphs import family
 
 
+def _findings(n, batch, s_max):
+    """Persistence findings of one batch as (n, edges, s, missing) rows."""
+    return [(n, batch[f.graph_index].edges(), f.s, f.missing)
+            for f in persistence_sweep(batch, s_max)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=6,
@@ -32,22 +38,18 @@ def main(argv=None) -> int:
     checks = 0
     findings = []
 
-    def sweep(n, batch):
-        nonlocal checks
-        report = persistence_sweep(batch, args.s_max)
-        checks += report.checks_run
-        for f in report.findings:
-            findings.append((n, batch[f.graph_index].edges(), f.s, f.missing))
-        return report.graphs_checked
-
     for n in range(2, args.max_n + 1):
-        graphs += sweep(n, [G for G in connected_graphs(n) if G.m])
+        batch = [G for G in connected_graphs(n) if G.m]
+        findings += _findings(n, batch, args.s_max)
+        graphs += len(batch)
+        checks += len(batch) * args.s_max
         print(f"n={n}: cumulative {graphs} graphs, {checks} checks, "
               f"{len(findings)} findings ({time.perf_counter() - t0:.1f}s)",
               flush=True)
 
     for n in (5, 7, 9):
-        sweep(n, [family("cycle", n)])
+        findings += _findings(n, [family("cycle", n)], args.s_max)
+        checks += args.s_max
         print(f"cycle:{n}: checked s=1..{args.s_max}", flush=True)
 
     print(f"\ntotal: {graphs} connected graphs, {checks} persistence checks, "

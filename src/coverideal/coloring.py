@@ -9,9 +9,9 @@ the criticality test is one cleared bit, not a rebuilt graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .graphs import Graph, _component, _members, maximal_independent_sets
 from . import lp
@@ -30,8 +30,7 @@ __all__ = [
     "certificate_is_valid",
 ]
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(NamedTuple):
     """A b-fold coloring: every vertex holds exactly b colors below colors_used."""
 
     b: int
@@ -39,8 +38,7 @@ class Coloring:
     assignment: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class FractionalCertificate:
+class FractionalCertificate(NamedTuple):
     """Optimal fractional cover: positive weights on maximal independent sets."""
 
     weights: tuple[tuple[frozenset[int], Fraction], ...]

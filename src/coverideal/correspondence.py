@@ -5,8 +5,8 @@ persistence of associated primes and the critical-expansion search."""
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain, combinations, product
+from typing import NamedTuple
 
 from .coloring import chromatic_number, is_critical, b_fold_chromatic
 from .graphs import Graph, expand, maximal_independent_sets, replicate
@@ -25,7 +25,6 @@ __all__ = [
     "ComponentCorrespondence",
     "ConjectureWitness",
     "PersistenceFinding",
-    "SweepReport",
     "component_to_Y",
     "verify_correspondence",
     "converse_correspondence",
@@ -38,19 +37,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComponentCorrespondence:
+class ComponentCorrespondence(NamedTuple):
     """One irreducible component of J^s with its shadow set and criticality data."""
 
     component: IrreducibleIdeal
-    s: int
     Y: frozenset[int]
     chi: int
     verified_critical: bool
 
 
-@dataclass(frozen=True)
-class ConjectureWitness:
+class ConjectureWitness(NamedTuple):
     """Result of probing one expansion candidate W."""
 
     W: frozenset[int]
@@ -114,7 +110,6 @@ def verify_correspondence(
         out.append(
             ComponentCorrespondence(
                 component=comp,
-                s=s,
                 Y=Y,
                 chi=chi,
                 verified_critical=critical and chi == s + 1,
@@ -164,8 +159,7 @@ def persistence_check(G: Graph, s: int) -> tuple[bool, list[frozenset[int]]]:
     return not missing, missing
 
 
-@dataclass(frozen=True)
-class PersistenceFinding:
+class PersistenceFinding(NamedTuple):
     """A persistence failure: primes of J^s absent from J^(s+1)."""
 
     graph_index: int
@@ -175,16 +169,9 @@ class PersistenceFinding:
     ass_next: tuple[frozenset[int], ...]
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    graphs_checked: int
-    s_max: int
-    checks_run: int
-    findings: tuple[PersistenceFinding, ...]
-
-
-def persistence_sweep(graphs, s_max: int) -> SweepReport:
-    """Check persistence for s = 1..s_max over a family of graphs.
+def persistence_sweep(graphs, s_max: int) -> tuple[PersistenceFinding, ...]:
+    """Check persistence for s = 1..s_max over a family of graphs and
+    return the findings in graph then s order, () when every prime persists.
 
     Each graph's powers J, J^2, ..., J^(s_max+1) are built and decomposed
     once, each from the one before, and compared as in persistence_check;
@@ -193,7 +180,6 @@ def persistence_sweep(graphs, s_max: int) -> SweepReport:
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     findings = []
-    graphs = list(graphs)
     for gi, G in enumerate(graphs):
         J = P = cover_ideal(G)
         ass_next = associated_primes(J)
@@ -213,12 +199,7 @@ def persistence_sweep(graphs, s_max: int) -> SweepReport:
                         ass_next=tuple(ass_next),
                     )
                 )
-    return SweepReport(
-        graphs_checked=len(graphs),
-        s_max=s_max,
-        checks_run=len(graphs) * s_max,
-        findings=tuple(findings),
-    )
+    return tuple(findings)
 
 
 def _is_maximal_independent(G: Graph, W: frozenset[int]) -> bool:

@@ -13,7 +13,6 @@ connectivity, maximal independent sets, the isomorphism certificates and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import NamedTuple
 
@@ -37,8 +36,7 @@ __all__ = [
     "first_of_each_class",
 ]
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Immutable simple graph on vertices 0..n-1; a shadow's origin is its position.
 
     Bit u of ``masks[v]`` is the edge uv.

@@ -42,10 +42,10 @@ them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress, pairwise
 from operator import getitem, or_
+from typing import NamedTuple
 
 from .coloring import _multicover
 from .graphs import Graph, _members, minimal_vertex_covers
@@ -201,8 +201,7 @@ def _minimalize(rows: list[int], nvars: int, k: int) -> list[int]:
     return [rows[i] for i in sorted(compress(slots, keep))]
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """Monomial ideal given by its unique minimal generators, sorted."""
 
     nvars: int
@@ -294,8 +293,7 @@ def contains_in_power(J: MonomialIdeal, d: int, m: Monomial) -> bool:
     return _multicover(sets, [max(d - e, 0) for e in m], d) is not None
 
 
-@dataclass(frozen=True)
-class IrreducibleIdeal:
+class IrreducibleIdeal(NamedTuple):
     """Ideal generated by pure powers x_v^e on its support; exps sorted by variable."""
 
     nvars: int

@@ -239,12 +239,9 @@ def test_criterion_6_bfold_dual_route():
 def test_criterion_7_persistence_sweep():
     start = time.perf_counter()
     corpus = [G for n in range(2, 7) for G in connected_graphs(n)]
-    report = persistence_sweep(corpus, 2)
-    assert report.graphs_checked == 142
-    assert report.checks_run == 284
-    assert report.findings == ()
-    cycles = persistence_sweep([family("cycle", 5), family("cycle", 7)], 3)
-    assert cycles.findings == ()
+    assert len(corpus) == 142
+    assert persistence_sweep(corpus, 2) == ()
+    assert persistence_sweep([family("cycle", 5), family("cycle", 7)], 3) == ()
     elapsed = time.perf_counter() - start
     assert elapsed < 1800
     print(
@@ -259,10 +256,8 @@ def test_criterion_7_persistence_sweep():
 def test_criterion_7_extended_persistence_to_8_vertices():
     start = time.perf_counter()
     corpus = [G for n in range(2, 9) for G in connected_graphs(n)]
-    report = persistence_sweep(corpus, 3)
-    assert report.graphs_checked == 12112
-    assert report.checks_run == 36336
-    assert report.findings == ()
+    assert len(corpus) == 12112
+    assert persistence_sweep(corpus, 3) == ()
     assert irreducible_decomposition.cache_info().currsize == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1800

@@ -588,17 +588,17 @@ class TestInternalErrors:
         assert err == f"error: the input needs more than Python's recursion limit of {limit} frames\n"
 
 
-def run_module(*args, block_numpy=False) -> subprocess.CompletedProcess:
+def run_module(*args, block=()) -> subprocess.CompletedProcess:
     """``python -m coverideal *args`` in a child process that imports the
-    package this suite imported, installed or not.  With ``block_numpy``
-    every import of numpy in the child fails.  With no arguments the child
-    only imports the package."""
+    package this suite imported, installed or not.  Every import of a module
+    named in ``block`` fails in the child.  With no arguments the child only
+    imports the package."""
     package_root = os.path.dirname(os.path.dirname(coverideal.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
     code = "import sys\n"
-    if block_numpy:
-        code += "sys.modules['numpy'] = None\n"
+    for name in block:
+        code += f"sys.modules[{name!r}] = None\n"
     if not args:
         code += "import coverideal\n"
     else:
@@ -630,10 +630,12 @@ class TestConsoleEntryPoint:
         ],
         ids=["import", "help", "decompose", "verify"],
     )
-    def test_runs_without_numpy(self, args):
+    def test_runs_without_numpy_dataclasses_or_inspect(self, args):
         # Only the exact LP prices with numpy; powers, decompositions and
-        # the correspondence must start and answer without it.
-        proc = run_module(*args, block_numpy=True)
+        # the correspondence must start and answer without it.  Records are
+        # NamedTuples, so no process needs dataclasses or the inspect module
+        # it imports.
+        proc = run_module(*args, block=("numpy", "dataclasses", "inspect"))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == run_module(*args).stdout
 

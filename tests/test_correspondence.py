@@ -228,17 +228,11 @@ class TestPersistence:
 
     def test_sweep_connected_graphs_up_to_five_vertices(self):
         corpus = [G for n in range(2, 6) for G in connected_graphs(n)]
-        report = persistence_sweep(corpus, 2)
-        assert report.graphs_checked == 30
-        assert report.checks_run == 60
-        assert report.findings == ()
+        assert len(corpus) == 30
+        assert persistence_sweep(corpus, 2) == ()
 
     def test_sweep_odd_cycles(self):
-        report = persistence_sweep(
-            [family("cycle", k) for k in (5, 7, 9)], 3
-        )
-        assert report.checks_run == 9
-        assert report.findings == ()
+        assert persistence_sweep((family("cycle", k) for k in (5, 7, 9)), 3) == ()
 
     def test_sweep_reports_a_dropped_prime(self, monkeypatch):
         K2, C5 = family("complete", 2), family("cycle", 5)
@@ -252,9 +246,7 @@ class TestPersistence:
             return [p for p in primes if p != dropped] if I == J2 else primes
 
         monkeypatch.setattr(correspondence, "associated_primes", drop_from_square)
-        report = persistence_sweep([K2, C5], 2)
-        assert report.checks_run == 4
-        assert report.findings == (
+        assert persistence_sweep([K2, C5], 2) == (
             PersistenceFinding(
                 graph_index=1,
                 s=1,
@@ -291,8 +283,7 @@ class TestPersistence:
         not EXTENDED, reason="set COVERIDEAL_EXTENDED=1 to run the heavy check"
     )
     def test_sweep_mycielski_C9(self):
-        report = persistence_sweep([mycielski(family("cycle", 9))], 1)
-        assert report.findings == ()
+        assert persistence_sweep([mycielski(family("cycle", 9))], 1) == ()
 
 
 class TestConjectureSearch:
