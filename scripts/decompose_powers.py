@@ -25,7 +25,7 @@ from collections import Counter
 
 from coverideal.cli import CLIError, exit_code, parse_builtin
 from coverideal.correspondence import verify_correspondence
-from coverideal.ideals import cover_ideal, irreducible_decomposition, multiply
+from coverideal.ideals import cover_ideal, irreducible_decomposition, power
 
 
 def main(argv=None) -> int:
@@ -45,11 +45,9 @@ def main(argv=None) -> int:
     print(f"{args.builtin}: n={G.n} m={G.m}, cover ideal has "
           f"{len(J.gens)} minimal generators", flush=True)
 
-    Js = J
     for s in range(1, args.s_max + 1):
         t0 = time.perf_counter()
-        if s > 1:
-            Js = multiply(Js, J)
+        Js = power(J, s)
         t_pow = time.perf_counter() - t0
         t0 = time.perf_counter()
         decomp = irreducible_decomposition(Js)
@@ -61,7 +59,7 @@ def main(argv=None) -> int:
         if args.no_verify:
             continue
         t0 = time.perf_counter()
-        records = verify_correspondence(G, s, Js)
+        records = verify_correspondence(G, s)
         bad = [r for r in records if not r.verified_critical]
         t_ver = time.perf_counter() - t0
         if bad:

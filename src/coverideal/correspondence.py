@@ -12,12 +12,10 @@ from .coloring import chromatic_number, is_critical, b_fold_chromatic
 from .graphs import Graph, expand, maximal_independent_sets, replicate
 from .ideals import (
     IrreducibleIdeal,
-    MonomialIdeal,
     associated_primes,
     contains_in_power,
     cover_ideal,
     irreducible_decomposition,
-    multiply,
     power,
 )
 
@@ -79,30 +77,13 @@ def component_to_Y(component: IrreducibleIdeal, s: int) -> frozenset[int]:
     return frozenset(v * s + j for v, c in enumerate(_copies(component, s)) for j in range(c))
 
 
-def _decomposition_of_power(
-    G: Graph, s: int, Js: MonomialIdeal | None
-) -> tuple[IrreducibleIdeal, ...]:
-    """Irreducible components of J(G)^s, from Js when the caller holds it."""
-    if s < 1:
-        raise ValueError("expansion order must be >= 1")
-    if Js is None:
-        Js = power(cover_ideal(G), s)
-    elif Js.nvars != G.n:
-        raise ValueError("the power lives in a ring of another graph")
-    return irreducible_decomposition(Js)
-
-
-def verify_correspondence(
-    G: Graph, s: int, Js: MonomialIdeal | None = None
-) -> list[ComponentCorrespondence]:
+def verify_correspondence(G: Graph, s: int) -> list[ComponentCorrespondence]:
     """Check every component of J(G)^s against its critical-subgraph reading.
 
     For each irreducible component, the induced subgraph of the s-th
-    expansion on its shadow set must be critically (s+1)-chromatic.  A
-    caller that already holds J(G)^s passes it as Js; otherwise it is
-    built from J(G).
+    expansion on its shadow set must be critically (s+1)-chromatic.
     """
-    decomp = _decomposition_of_power(G, s, Js)
+    decomp = irreducible_decomposition(power(cover_ideal(G), s))
     out = []
     for comp in decomp:
         Y = component_to_Y(comp, s)
@@ -118,19 +99,16 @@ def verify_correspondence(
     return out
 
 
-def converse_correspondence(
-    G: Graph, s: int, Js: MonomialIdeal | None = None
-) -> list[IrreducibleIdeal]:
+def converse_correspondence(G: Graph, s: int) -> list[IrreducibleIdeal]:
     """Critical canonical shadow sets whose component is absent from J(G)^s.
 
     Walks every copy vector in 0..s per vertex (the image of _copies), keeps
     those whose replication is critically (s+1)-chromatic, and returns the
     components they read as that are missing from the decomposition, in
     its order.  A vector with at most s shadows cannot reach s+1 colours.
-    An empty list is the expected outcome.  A caller that already holds
-    J(G)^s passes it as Js; otherwise it is built from J(G).
+    An empty list is the expected outcome.
     """
-    decomp = set(_decomposition_of_power(G, s, Js))
+    decomp = set(irreducible_decomposition(power(cover_ideal(G), s)))
     missing = []
     for copies in product(range(s + 1), repeat=G.n):
         if sum(copies) <= s:
@@ -150,11 +128,10 @@ def persistence_check(G: Graph, s: int) -> tuple[bool, list[frozenset[int]]]:
     if s < 1:
         raise ValueError("power must be >= 1")
     J = cover_ideal(G)
-    Js = power(J, s)
     # J^s before J^(s+1): called with ascending s, the one-ideal memo
     # still holds the previous call's J^(s+1) here.
-    ass_s = associated_primes(Js)
-    kept = set(associated_primes(multiply(Js, J)))
+    ass_s = associated_primes(power(J, s))
+    kept = set(associated_primes(power(J, s + 1)))
     missing = [p for p in ass_s if p not in kept]
     return not missing, missing
 
@@ -174,19 +151,19 @@ def persistence_sweep(graphs, s_max: int) -> tuple[PersistenceFinding, ...]:
     return the findings in graph then s order, () when every prime persists.
 
     Each graph's powers J, J^2, ..., J^(s_max+1) are built and decomposed
-    once, each from the one before, and compared as in persistence_check;
-    Ass(J^(s+1)) is carried forward as the next step's Ass(J^s).
+    once, each from the one before, which ``power`` holds, and compared as
+    in persistence_check; Ass(J^(s+1)) is carried forward as the next
+    step's Ass(J^s).
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     findings = []
     for gi, G in enumerate(graphs):
-        J = P = cover_ideal(G)
+        J = cover_ideal(G)
         ass_next = associated_primes(J)
         for s in range(1, s_max + 1):
             ass_s = ass_next
-            P = multiply(P, J)
-            ass_next = associated_primes(P)
+            ass_next = associated_primes(power(J, s + 1))
             kept = set(ass_next)
             missing = [p for p in ass_s if p not in kept]
             if missing:

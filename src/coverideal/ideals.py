@@ -253,13 +253,26 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(nvars, tuple(_unpack(r, nvars, k) for r in _minimalize(rows, nvars, k)))
 
 
+@lru_cache(maxsize=1)
+def _held_power(I: MonomialIdeal) -> list:
+    """The slot ``[t, I**t]`` of the last power ``power`` built of I."""
+    return [1, I]
+
+
 def power(I: MonomialIdeal, s: int) -> MonomialIdeal:
-    """s-th power of the ideal."""
+    """s-th power of the ideal.
+
+    The last power built of the last ideal asked for is held
+    (``_held_power``), and a call at that power or above starts from it,
+    so ascending calls, such as J^s then J^(s+1), cost one product each.
+    """
     if s < 1:
         raise ValueError("power must be >= 1")
-    out = I
-    for _ in range(s - 1):
+    held = _held_power(I)
+    t, out = held if held[0] <= s else (1, I)
+    for _ in range(s - t):
         out = multiply(out, I)
+    held[:] = s, out
     return out
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from coverideal import correspondence
+from coverideal import correspondence, ideals
 from coverideal.graphs import Graph, build_graph
 
 settings.register_profile(
@@ -108,3 +108,12 @@ def expansion_fault(monkeypatch):
         return critical and H.n <= 5, chi, failing
 
     monkeypatch.setattr(correspondence, "is_critical", no_large_critical)
+
+
+@pytest.fixture
+def multiply_calls(monkeypatch):
+    """The factor pairs of every ideals.multiply call made from here on."""
+    calls = []
+    multiply = ideals.multiply
+    monkeypatch.setattr(ideals, "multiply", lambda I, J: calls.append((I, J)) or multiply(I, J))
+    return calls

@@ -5,7 +5,6 @@ Expected values were frozen from brute-force coloring and divisibility
 oracles run before the implementation, plus hand-checked small cases.
 """
 
-import os
 from itertools import combinations
 
 import pytest
@@ -42,14 +41,13 @@ from coverideal.graphs import (
 )
 from coverideal.ideals import (
     IrreducibleIdeal,
+    _held_power,
     associated_primes,
     cover_ideal,
     irreducible_decomposition,
     power,
 )
 from oracles import brute_replicate, neighbors, perfect_graph_components
-
-EXTENDED = os.environ.get("COVERIDEAL_EXTENDED") == "1"
 
 
 class TestComponentToY:
@@ -125,20 +123,20 @@ class TestVerifyCorrespondence:
         assert (H.n, H.m) == (5, 5)
         assert full[0].chi == 3
 
-    def test_held_power_is_not_rebuilt(self, monkeypatch):
+    def test_held_power_is_not_rebuilt(self, multiply_calls):
         G = family("cycle", 5)
-        J2 = power(cover_ideal(G), 2)
-        expected = verify_correspondence(G, 2)
-        monkeypatch.setattr(correspondence, "power", lambda *a: pytest.fail("power rebuilt"))
-        assert verify_correspondence(G, 2, J2) == expected
-        with pytest.raises(ValueError, match="another graph"):
-            verify_correspondence(G, 2, power(cover_ideal(family("cycle", 7)), 2))
+        _held_power.cache_clear()
+        cold = verify_correspondence(G, 2)
+        _held_power.cache_clear()
+        power(cover_ideal(G), 2)
+        multiply_calls.clear()
+        assert verify_correspondence(G, 2) == cold
+        assert multiply_calls == []
 
     def test_K3_s2_both_directions(self):
         G = family("complete", 3)
-        J2 = power(cover_ideal(G), 2)
-        assert all(r.verified_critical for r in verify_correspondence(G, 2, J2))
-        assert converse_correspondence(G, 2, J2) == []
+        assert all(r.verified_critical for r in verify_correspondence(G, 2))
+        assert converse_correspondence(G, 2) == []
 
     @pytest.mark.parametrize(
         "G,s",
@@ -155,33 +153,22 @@ class TestVerifyCorrespondence:
 
 
 class TestConverseCorrespondence:
-    def test_held_power_is_not_rebuilt(self, monkeypatch):
+    def test_held_power_is_not_rebuilt(self, multiply_calls):
         G = family("cycle", 7)
-        calls = []
-        build = correspondence.power
-
-        def counting_power(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(correspondence, "power", counting_power)
-        J2 = correspondence.power(cover_ideal(G), 2)
-        assert all(r.verified_critical for r in verify_correspondence(G, 2, J2))
-        assert converse_correspondence(G, 2, J2) == []
-        assert len(calls) == 1
+        assert all(r.verified_critical for r in verify_correspondence(G, 2))
+        multiply_calls.clear()
         assert converse_correspondence(G, 2) == []
-        assert len(calls) == 2
+        assert multiply_calls == []
+        _held_power.cache_clear()
+        assert converse_correspondence(G, 2) == []
+        assert len(multiply_calls) == 1
 
-    def test_power_of_another_graph_is_rejected(self):
-        J2 = power(cover_ideal(family("cycle", 5)), 2)
-        with pytest.raises(ValueError, match="another graph"):
-            converse_correspondence(family("cycle", 7), 2, J2)
-
-    def test_missing_components_in_decomposition_order(self):
+    def test_missing_components_in_decomposition_order(self, monkeypatch):
         # Against J(P5)^2 the critical shadow sets of C5 that need the
         # edge 04 are missing; they come sorted as components are.
         J2 = power(cover_ideal(path_graph(5)), 2)
-        missing = converse_correspondence(family("cycle", 5), 2, J2)
+        monkeypatch.setattr(correspondence, "power", lambda J, s: J2)
+        missing = converse_correspondence(family("cycle", 5), 2)
         assert [c.exps for c in missing] == [
             ((0, 2), (1, 2), (2, 2), (3, 2), (4, 2)),
             ((0, 1), (4, 2)),
@@ -265,23 +252,23 @@ class TestPersistence:
         info = irreducible_decomposition.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 8, 1)
 
-    def test_ascending_checks_reuse_the_last_power(self):
-        # persistence_check(G, s) decomposes J^s before J^(s+1), so called
-        # with s = 1, 2, 3 it finds the previous call's J^(s+1) in the memo.
+    def test_ascending_checks_reuse_the_last_power(self, multiply_calls):
+        # persistence_check(G, s) builds and decomposes J^s before J^(s+1),
+        # so called with s = 1, 2, 3 it finds the previous call's J^(s+1)
+        # held by power and by the decomposition memo: one product a call.
         C5 = family("cycle", 5)
+        _held_power.cache_clear()
         irreducible_decomposition.cache_clear()
         for s in (1, 2, 3):
             assert persistence_check(C5, s) == (True, [])
         info = irreducible_decomposition.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 4, 1)
+        assert len(multiply_calls) == 3
 
     def test_sweep_rejects_bad_smax(self):
         with pytest.raises(ValueError):
             persistence_sweep([family("cycle", 5)], 0)
 
-    @pytest.mark.skipif(
-        not EXTENDED, reason="set COVERIDEAL_EXTENDED=1 to run the heavy check"
-    )
     def test_sweep_mycielski_C9(self):
         assert persistence_sweep([mycielski(family("cycle", 9))], 1) == ()
 

@@ -115,6 +115,30 @@ class TestMultiplyAndPower:
         I = monomial_ideal(nv, gens)
         assert power(I, s).gens == brute_power_gens(I.gens, s)
 
+    def test_ascending_powers_start_from_the_held_one(self, multiply_calls):
+        J = cover_ideal(family("cycle", 5))
+        ideals._held_power.cache_clear()
+        for s in range(1, 5):
+            assert power(J, s).gens == brute_power_gens(J.gens, s)
+        assert len(multiply_calls) == 3
+
+    @given(
+        monomial_ideals(max_vars=3, max_gens=3, max_exp=2),
+        monomial_ideals(max_vars=3, max_gens=3, max_exp=2),
+        st.lists(st.tuples(st.booleans(), st.integers(1, 4)), min_size=1, max_size=8),
+    )
+    def test_held_power_under_any_call_order(self, a, b, calls):
+        # Ascending, descending and repeated s, alternating between two ideals.
+        pair = (monomial_ideal(*a), monomial_ideal(*b))
+        for second, s in calls:
+            I = pair[second]
+            assert power(I, s).gens == brute_power_gens(I.gens, s)
+
+    def test_high_power_is_built_without_recursion(self):
+        I = monomial_ideal(1, [(1,)])
+        ideals._held_power.cache_clear()
+        assert power(I, 2000) == monomial_ideal(1, [(2000,)])
+
 
 class TestMembership:
     def test_generators_are_members(self):
