@@ -13,16 +13,18 @@ import argparse
 import sys
 import time
 
-from coverideal.cli import exit_code
+from coverideal.cli import CLIError, exit_code
 from coverideal.corpus import connected_graphs
-from coverideal.correspondence import persistence_sweep
+from coverideal.correspondence import persistence_check
 from coverideal.graphs import family
 
 
 def _findings(n, batch, s_max):
-    """Persistence findings of one batch as (n, edges, s, missing) rows."""
-    return [(n, batch[f.graph_index].edges(), f.s, f.missing)
-            for f in persistence_sweep(batch, s_max)]
+    """Persistence findings of one batch as (n, edges, s, missing) rows.
+    Each graph is checked with ascending s, so each check finds J^s held."""
+    return [(n, G.edges(), s, missing)
+            for G in batch for s in range(1, s_max + 1)
+            if (missing := persistence_check(G, s)[1])]
 
 
 def main(argv=None) -> int:
@@ -33,6 +35,8 @@ def main(argv=None) -> int:
                         help="check persistence for s = 1..s_max (default 2)")
     args = parser.parse_args(argv)
 
+    if args.s_max < 1:
+        raise CLIError("--s-max must be >= 1")
     t0 = time.perf_counter()
     graphs = 0
     checks = 0

@@ -27,7 +27,7 @@ from .coloring import (
     is_critical,
 )
 from .correspondence import (
-    conjecture_search,
+    expansion_witnesses,
     persistence_check,
     technical_lemma_check,
     verify_correspondence,
@@ -342,7 +342,7 @@ def _cmd_conjecture(args):
     G, source = _load_graph(args)
     mode = args.mode.replace("-", "_")
     inputs = {"graph": source, "mode": args.mode}
-    witness = conjecture_search(G, mode)
+    witness = next(expansion_witnesses(G, mode), None)
     results = {
         "found": witness is not None,
         "witness": (

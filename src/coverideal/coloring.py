@@ -8,7 +8,6 @@ the criticality test is one cleared bit, not a rebuilt graph.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -23,7 +22,6 @@ __all__ = [
     "chromatic_number",
     "is_critical",
     "b_fold_chromatic",
-    "fractional_chromatic",
     "fractional_value",
     "classify_chi_f_window",
     "coloring_is_proper",
@@ -259,32 +257,13 @@ def b_fold_chromatic(G: Graph, b: int) -> tuple[int, Coloring]:
     return len(chosen), _coloring_from_sets(G, b, chosen, sets)
 
 
-def fractional_chromatic(G: Graph) -> tuple[Fraction, FractionalCertificate, int]:
-    """Exact fractional chromatic number, optimal certificate, and an achieving b.
-
-    The value comes from the exact rational covering LP over all maximal
-    independent sets.  The returned b is the smallest multiple of the
-    value's denominator with chi_b = b * chi_f.  It is at most L, the lcm of
-    the certificate weights' denominators: L * w_S colors for each set S
-    cover every vertex L times.  No minimality over all b is claimed.
-    """
-    value, cert = fractional_value(G)
-    den = value.denominator
-    lcm = math.lcm(*(w.denominator for _, w in cert.weights))
-    for bb in range(den, lcm + 1, den):
-        achieved, _ = b_fold_chromatic(G, bb)
-        if achieved == value * bb:
-            return value, cert, bb
-    raise RuntimeError("no multiple of den(chi_f) up to the certificate's lcm achieves the ratio")
-
-
 @lru_cache(maxsize=None)
 def fractional_value(G: Graph) -> tuple[Fraction, FractionalCertificate]:
-    """Exact fractional chromatic number and certificate, skipping the b search.
+    """Exact fractional chromatic number and an optimal certificate.
 
-    Same value and certificate as fractional_chromatic, without materializing
-    a fold count that attains the ratio (which can be expensive).  Memoized
-    by graph: the chi_f window and the chi_b lower bound read the same LP.
+    The value comes from the exact rational covering LP over all maximal
+    independent sets.  Memoized by graph: the chi_f window and the chi_b
+    lower bound read the same LP.
     """
     if G.n == 0:
         raise ValueError("fractional chromatic number needs at least one vertex")

@@ -22,13 +22,10 @@ from .ideals import (
 __all__ = [
     "ComponentCorrespondence",
     "ConjectureWitness",
-    "PersistenceFinding",
     "component_to_Y",
     "verify_correspondence",
     "converse_correspondence",
     "persistence_check",
-    "persistence_sweep",
-    "conjecture_search",
     "expansion_witnesses",
     "probe_expansion",
     "technical_lemma_check",
@@ -136,49 +133,6 @@ def persistence_check(G: Graph, s: int) -> tuple[bool, list[frozenset[int]]]:
     return not missing, missing
 
 
-class PersistenceFinding(NamedTuple):
-    """A persistence failure: primes of J^s absent from J^(s+1)."""
-
-    graph_index: int
-    s: int
-    missing: tuple[frozenset[int], ...]
-    ass_s: tuple[frozenset[int], ...]
-    ass_next: tuple[frozenset[int], ...]
-
-
-def persistence_sweep(graphs, s_max: int) -> tuple[PersistenceFinding, ...]:
-    """Check persistence for s = 1..s_max over a family of graphs and
-    return the findings in graph then s order, () when every prime persists.
-
-    Each graph's powers J, J^2, ..., J^(s_max+1) are built and decomposed
-    once, each from the one before, which ``power`` holds, and compared as
-    in persistence_check; Ass(J^(s+1)) is carried forward as the next
-    step's Ass(J^s).
-    """
-    if s_max < 1:
-        raise ValueError("s_max must be >= 1")
-    findings = []
-    for gi, G in enumerate(graphs):
-        J = cover_ideal(G)
-        ass_next = associated_primes(J)
-        for s in range(1, s_max + 1):
-            ass_s = ass_next
-            ass_next = associated_primes(power(J, s + 1))
-            kept = set(ass_next)
-            missing = [p for p in ass_s if p not in kept]
-            if missing:
-                findings.append(
-                    PersistenceFinding(
-                        graph_index=gi,
-                        s=s,
-                        missing=tuple(missing),
-                        ass_s=tuple(ass_s),
-                        ass_next=tuple(ass_next),
-                    )
-                )
-    return tuple(findings)
-
-
 def _is_maximal_independent(G: Graph, W: frozenset[int]) -> bool:
     """No vertex of W has a neighbour in W, and every other vertex has one."""
     w = sum(1 << v for v in W)
@@ -237,17 +191,6 @@ def expansion_witnesses(
             witness = probe_expansion(G, W)
             if witness.expanded_critical:
                 yield witness
-
-
-def conjecture_search(
-    G: Graph, mode: str = "maximal_independent_only"
-) -> ConjectureWitness | None:
-    """Search for W whose expansion is critically (chi+1)-chromatic.
-
-    Returns the first of expansion_witnesses(G, mode), or None when every
-    candidate fails.
-    """
-    return next(expansion_witnesses(G, mode), None)
 
 
 def technical_lemma_check(G: Graph, W, b: int) -> tuple[bool, int]:

@@ -23,10 +23,8 @@ __all__ = [
     "family",
     "path_graph",
     "kneser_graph",
-    "induced_subgraph",
     "replicate",
     "expand",
-    "power_expansion",
     "mycielski",
     "maximal_independent_sets",
     "minimal_vertex_covers",
@@ -124,16 +122,6 @@ def kneser_graph(n: int, k: int) -> Graph:
     return build_graph(len(subsets), edges)
 
 
-def induced_subgraph(G: Graph, vertices) -> Graph:
-    """Induced subgraph on the given vertices, renumbered 0..|Y|-1 in sorted order."""
-    vs = sorted(set(vertices))
-    if vs and not (0 <= vs[0] and vs[-1] < G.n):
-        raise ValueError("vertex out of range")
-    index = {v: i for i, v in enumerate(vs)}
-    edges = [(index[u], index[v]) for u, v in G.edges() if u in index and v in index]
-    return build_graph(len(vs), edges)
-
-
 def replicate(G: Graph, copies) -> Graph:
     """Replace each vertex v by a clique of ``copies[v]`` shadows.
 
@@ -169,16 +157,6 @@ def expand(G: Graph, W) -> Graph:
     if W and not all(0 <= w < G.n for w in W):
         raise ValueError("expansion vertex out of range")
     return replicate(G, [2 if v in W else 1 for v in range(G.n)])
-
-
-def power_expansion(G: Graph, s: int) -> Graph:
-    """s-th expansion: each vertex becomes a clique of s shadows.
-
-    Shadow (i, j) sits at index i*s + (j - 1).  See ``replicate``.
-    """
-    if s < 1:
-        raise ValueError("expansion order must be >= 1")
-    return replicate(G, [s] * G.n)
 
 
 def mycielski(G: Graph) -> Graph:

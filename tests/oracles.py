@@ -9,6 +9,9 @@ package's former critical census, which filters whole deduplicated levels
 with ``is_critical``, kept as the cross-check of the screened one.  The
 dense Bland-rule Fraction tableau is the package's former covering-LP
 solver, kept as the cross-check of the revised simplex.
+``induced_subgraph`` is the paper's literal reading of a component's graph,
+the induced subgraph of the s-th expansion on its shadow set, kept as the
+cross-check of ``replicate``.
 ``b_fold_via_membership`` reaches chi_b through the package's cover-ideal
 membership, as a cross-check of the coloring route.  Oracles read a
 neighborhood only through ``neighbors``."""
@@ -41,6 +44,16 @@ def delete_vertex(G: Graph, v: int) -> Graph:
     rename = [u - (u > v) for u in range(G.n)]
     edges = [(rename[a], rename[b]) for a, b in G.edges() if v not in (a, b)]
     return build_graph(G.n - 1, edges)
+
+
+def induced_subgraph(G: Graph, vertices) -> Graph:
+    """Induced subgraph on the given vertices, renumbered 0..|Y|-1 in sorted order."""
+    vs = sorted(set(vertices))
+    if vs and not (0 <= vs[0] and vs[-1] < G.n):
+        raise ValueError("vertex out of range")
+    index = {v: i for i, v in enumerate(vs)}
+    edges = [(index[u], index[v]) for u, v in G.edges() if u in index and v in index]
+    return build_graph(len(vs), edges)
 
 
 # ---------------------------------------------------------------------------

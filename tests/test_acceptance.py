@@ -26,7 +26,7 @@ from coverideal.coloring import (
 from coverideal.correspondence import (
     component_to_Y,
     converse_correspondence,
-    persistence_sweep,
+    persistence_check,
     probe_expansion,
     technical_lemma_check,
     verify_correspondence,
@@ -36,13 +36,12 @@ from coverideal.graphs import (
     build_graph,
     expand,
     family,
-    induced_subgraph,
     is_isomorphic,
     kneser_graph,
     maximal_independent_sets,
     mycielski,
     path_graph,
-    power_expansion,
+    replicate,
 )
 from coverideal.ideals import (
     IrreducibleIdeal,
@@ -56,6 +55,7 @@ from coverideal.ideals import (
 from oracles import (
     b_fold_via_membership,
     brute_contains,
+    induced_subgraph,
     monomial_box,
     neighbors,
     sequential_expand,
@@ -131,7 +131,8 @@ def test_criterion_4_explicit_component_reading():
     want = {v * 4 for v in range(19)} | {v * 4 + 1 for v in Z_WITNESS}
     assert Y == frozenset(want)
     assert len(Y) == 27
-    M4 = power_expansion(mycielski(family("cycle", 9)), 4)
+    G = mycielski(family("cycle", 9))
+    M4 = replicate(G, [4] * G.n)
     H = induced_subgraph(M4, Y)
     assert is_critical(H) == (True, 5, [])
     elapsed = time.perf_counter() - start
@@ -239,8 +240,9 @@ def test_criterion_7_persistence_sweep():
     start = time.perf_counter()
     corpus = [G for n in range(2, 7) for G in connected_graphs(n)]
     assert len(corpus) == 142
-    assert persistence_sweep(corpus, 2) == ()
-    assert persistence_sweep([family("cycle", 5), family("cycle", 7)], 3) == ()
+    assert all(persistence_check(G, s) == (True, []) for G in corpus for s in (1, 2))
+    for G in (family("cycle", 5), family("cycle", 7)):
+        assert all(persistence_check(G, s) == (True, []) for s in (1, 2, 3))
     elapsed = time.perf_counter() - start
     assert elapsed < 1800
     print(
@@ -256,7 +258,7 @@ def test_criterion_7_extended_persistence_to_8_vertices():
     start = time.perf_counter()
     corpus = [G for n in range(2, 9) for G in connected_graphs(n)]
     assert len(corpus) == 12112
-    assert persistence_sweep(corpus, 3) == ()
+    assert all(persistence_check(G, s) == (True, []) for G in corpus for s in (1, 2, 3))
     assert irreducible_decomposition.cache_info().currsize == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1800

@@ -6,7 +6,6 @@ n/alpha bound before implementation.
 """
 
 import hashlib
-import math
 from fractions import Fraction
 
 import pytest
@@ -21,7 +20,6 @@ from coverideal.coloring import (
     chromatic_number,
     classify_chi_f_window,
     coloring_is_proper,
-    fractional_chromatic,
     fractional_value,
     is_critical,
 )
@@ -29,12 +27,11 @@ from coverideal.corpus import all_graphs
 from coverideal.graphs import (
     build_graph,
     family,
-    induced_subgraph,
     kneser_graph,
     mycielski,
     path_graph,
 )
-from oracles import brute_b_fold, brute_chromatic, delete_vertex
+from oracles import brute_b_fold, brute_chromatic, delete_vertex, induced_subgraph
 
 
 class TestChromaticNumber:
@@ -237,33 +234,24 @@ class TestFractional:
         ids=["K4", "C5", "antihole7", "petersen"],
     )
     def test_known_values(self, G, num, den):
-        value, cert, achieving_b = fractional_chromatic(G)
+        value, cert = fractional_value(G)
         assert value == Fraction(num, den)
         assert certificate_is_valid(G, cert)
         assert cert.total == value
-        assert b_fold_chromatic(G, achieving_b)[0] == value * achieving_b
-        assert achieving_b <= math.lcm(*(w.denominator for _, w in cert.weights))
-
-    def test_achieving_b_for_C5(self):
-        _, _, achieving_b = fractional_chromatic(family("cycle", 5))
-        assert achieving_b == 2
+        # Each of these graphs attains its chi_f with 2 colors per vertex.
+        assert b_fold_chromatic(G, 2)[0] == 2 * value
 
     def test_achieving_b_can_exceed_denominator(self):
         # chi_f here is the integer 3 while chi = 4, so b = 1 cannot achieve
-        # the ratio; the smallest achieving multiple is 2.
+        # the ratio; b = 2 does.
         G = kneser_graph(6, 2)
-        value, _, achieving_b = fractional_chromatic(G)
-        assert value == Fraction(3)
+        assert fractional_value(G)[0] == Fraction(3)
         assert chromatic_number(G)[0] == 4
-        assert achieving_b == 2
-
-    def test_fractional_value_agrees(self):
-        for G in (family("cycle", 7), family("complete", 5)):
-            assert fractional_value(G)[0] == fractional_chromatic(G)[0]
+        assert b_fold_chromatic(G, 2)[0] == 6
 
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
-            fractional_chromatic(build_graph(0, []))
+            fractional_value(build_graph(0, []))
 
     @given(graphs(min_n=1, max_n=6), st.integers(min_value=1, max_value=4))
     def test_below_all_fold_ratios(self, G, b):

@@ -15,14 +15,11 @@ from conftest import graphs, graphs_with_edges
 from coverideal import correspondence
 from coverideal.coloring import b_fold_chromatic, chromatic_number, is_critical
 from coverideal.correspondence import (
-    PersistenceFinding,
     _copies,
     component_to_Y,
-    conjecture_search,
     converse_correspondence,
     expansion_witnesses,
     persistence_check,
-    persistence_sweep,
     probe_expansion,
     technical_lemma_check,
     verify_correspondence,
@@ -32,11 +29,9 @@ from coverideal.graphs import (
     build_graph,
     expand,
     family,
-    induced_subgraph,
     maximal_independent_sets,
     mycielski,
     path_graph,
-    power_expansion,
     replicate,
 )
 from coverideal.ideals import (
@@ -47,7 +42,7 @@ from coverideal.ideals import (
     irreducible_decomposition,
     power,
 )
-from oracles import brute_replicate, neighbors, perfect_graph_components
+from oracles import brute_replicate, induced_subgraph, neighbors, perfect_graph_components
 
 
 class TestComponentToY:
@@ -119,7 +114,7 @@ class TestVerifyCorrespondence:
         assert all(r.verified_critical for r in results)
         full = [r for r in results if len(r.component.exps) == 5]
         assert len(full) == 1
-        H = induced_subgraph(power_expansion(G, 2), full[0].Y)
+        H = induced_subgraph(replicate(G, [2] * G.n), full[0].Y)
         assert (H.n, H.m) == (5, 5)
         assert full[0].chi == 3
 
@@ -216,10 +211,12 @@ class TestPersistence:
     def test_sweep_connected_graphs_up_to_five_vertices(self):
         corpus = [G for n in range(2, 6) for G in connected_graphs(n)]
         assert len(corpus) == 30
-        assert persistence_sweep(corpus, 2) == ()
+        assert all(persistence_check(G, s) == (True, []) for G in corpus for s in (1, 2))
 
     def test_sweep_odd_cycles(self):
-        assert persistence_sweep((family("cycle", k) for k in (5, 7, 9)), 3) == ()
+        for k in (5, 7, 9):
+            for s in (1, 2, 3):
+                assert persistence_check(family("cycle", k), s) == (True, [])
 
     def test_sweep_reports_a_dropped_prime(self, monkeypatch):
         K2, C5 = family("complete", 2), family("cycle", 5)
@@ -233,24 +230,25 @@ class TestPersistence:
             return [p for p in primes if p != dropped] if I == J2 else primes
 
         monkeypatch.setattr(correspondence, "associated_primes", drop_from_square)
-        assert persistence_sweep([K2, C5], 2) == (
-            PersistenceFinding(
-                graph_index=1,
-                s=1,
-                missing=(dropped,),
-                ass_s=tuple(associated_primes(J)),
-                ass_next=tuple(p for p in associated_primes(J2) if p != dropped),
-            ),
-        )
         assert persistence_check(C5, 1) == (False, [dropped])
+        # The sweep script's loop: every graph, then s = 1..s_max.
+        findings = []
+        for gi, G in enumerate([K2, C5]):
+            for s in (1, 2):
+                holds, missing = persistence_check(G, s)
+                if not holds:
+                    findings.append((gi, s, missing))
+        assert findings == [(1, 1, [dropped])]
 
     def test_sweep_memo_holds_the_last_power(self):
-        # The sweep carries Ass(J^(s+1)) into the next step, so each of
-        # J..J^4 is decomposed once per graph and never read back.
+        # Checks with ascending s find each J^s decomposed by the call
+        # before, so each of J..J^4 is decomposed once per graph.
         irreducible_decomposition.cache_clear()
-        persistence_sweep([family("cycle", 5), family("cycle", 7)], 3)
+        for G in (family("cycle", 5), family("cycle", 7)):
+            for s in (1, 2, 3):
+                persistence_check(G, s)
         info = irreducible_decomposition.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 8, 1)
+        assert (info.hits, info.misses, info.currsize) == (4, 8, 1)
 
     def test_ascending_checks_reuse_the_last_power(self, multiply_calls):
         # persistence_check(G, s) builds and decomposes J^s before J^(s+1),
@@ -265,17 +263,18 @@ class TestPersistence:
         assert (info.hits, info.misses, info.currsize) == (2, 4, 1)
         assert len(multiply_calls) == 3
 
-    def test_sweep_rejects_bad_smax(self):
-        with pytest.raises(ValueError):
-            persistence_sweep([family("cycle", 5)], 0)
-
     def test_sweep_mycielski_C9(self):
-        assert persistence_sweep([mycielski(family("cycle", 9))], 1) == ()
+        assert persistence_check(mycielski(family("cycle", 9)), 1) == (True, [])
+
+
+def first_witness(G, mode="maximal_independent_only"):
+    """The first critical expansion, or None: what the CLI's conjecture reports."""
+    return next(expansion_witnesses(G, mode), None)
 
 
 class TestConjectureSearch:
     def test_C5_finds_maximal_independent_pair(self):
-        witness = conjecture_search(family("cycle", 5))
+        witness = first_witness(family("cycle", 5))
         assert witness is not None
         assert witness.W == frozenset({0, 2})
         assert witness.is_maximal_independent
@@ -289,7 +288,7 @@ class TestConjectureSearch:
         assert w.expanded_critical
 
     def test_mycielski_C9_finds_the_x_y_witness(self):
-        witness = conjecture_search(mycielski(family("cycle", 9)))
+        witness = first_witness(mycielski(family("cycle", 9)))
         assert witness is not None
         assert witness.W == frozenset({0, 2, 4, 6, 9, 11, 13, 15})
         assert witness.expanded_chi == 5
@@ -297,23 +296,23 @@ class TestConjectureSearch:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_cliques_expand_at_one_vertex(self, n):
-        witness = conjecture_search(family("complete", n))
+        witness = first_witness(family("complete", n))
         assert witness is not None
         assert len(witness.W) == 1
         assert witness.expanded_chi == n + 1
 
     def test_non_critical_graph_rejected(self):
         with pytest.raises(ValueError):
-            conjecture_search(family("cycle", 6))
+            first_witness(family("cycle", 6))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            conjecture_search(family("cycle", 5), mode="everything")
+            first_witness(family("cycle", 5), mode="everything")
 
     def test_all_subsets_mode_agrees_when_maximal_suffices(self):
         for G in (family("cycle", 7), family("complete", 3)):
-            a = conjecture_search(G)
-            b = conjecture_search(G, mode="all_subsets")
+            a = first_witness(G)
+            b = first_witness(G, mode="all_subsets")
             assert a == b
 
     def test_all_subsets_draws_no_subset_when_a_maximal_set_wins(self, monkeypatch):
@@ -325,7 +324,7 @@ class TestConjectureSearch:
                 yield c
 
         monkeypatch.setattr(correspondence, "combinations", counting_combinations)
-        witness = conjecture_search(family("cycle", 5), mode="all_subsets")
+        witness = first_witness(family("cycle", 5), mode="all_subsets")
         assert drawn == []
         assert witness.W == frozenset({0, 2}) and witness.is_maximal_independent
 
@@ -334,13 +333,13 @@ class TestConjectureSearch:
         witnesses = list(expansion_witnesses(C5))
         assert [w.W for w in witnesses] == maximal_independent_sets(C5)
         assert all(w.is_maximal_independent and w.expanded_chi == 4 for w in witnesses)
-        assert witnesses[0] == conjecture_search(C5)
+        assert witnesses[0] == first_witness(C5)
 
     def test_expansion_fault_raises(self, expansion_fault):
         # A maximal-independent expansion of C5 that reaches chi + 1 but
         # reads non-critical is an internal error, not "no witness".
         with pytest.raises(RuntimeError):
-            conjecture_search(family("cycle", 5))
+            first_witness(family("cycle", 5))
 
 
 class TestProbeExpansion:
@@ -413,7 +412,7 @@ def _witness_shift_component(H, Y, comp, s):
     H is induced on the shadow set Y of the s-th expansion, so vertex w of H
     is shadow sorted(Y)[w], whose base is that position divided by s.
     """
-    witness = conjecture_search(H, mode="all_subsets")
+    witness = first_witness(H, mode="all_subsets")
     assert witness is not None, "every component's graph should admit a witness at this scale"
     shadows = sorted(Y)
     bases = [shadows[w] // s for w in witness.W]
@@ -439,7 +438,7 @@ class TestWitnessShiftsComponentsForward:
     )
     def test_shifted_component_lands_in_next_power(self, G, s):
         J = cover_ideal(G)
-        Gs = power_expansion(G, s)
+        Gs = replicate(G, [s] * G.n)
         next_decomp = set(irreducible_decomposition(power(J, s + 1)))
         for comp in irreducible_decomposition(power(J, s)):
             Y = component_to_Y(comp, s)

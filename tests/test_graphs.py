@@ -21,7 +21,6 @@ from coverideal.graphs import (
     expand,
     family,
     first_of_each_class,
-    induced_subgraph,
     is_connected,
     is_isomorphic,
     kneser_graph,
@@ -29,7 +28,6 @@ from coverideal.graphs import (
     minimal_vertex_covers,
     mycielski,
     path_graph,
-    power_expansion,
     replicate,
 )
 from oracles import (
@@ -39,6 +37,7 @@ from oracles import (
     brute_minimal_vertex_covers,
     brute_replicate,
     delete_vertex,
+    induced_subgraph,
     neighbors,
     sequential_expand,
 )
@@ -57,10 +56,10 @@ STRUCTURE_CASES = [
     build_graph(3, []),
     family("antihole", 7),
     kneser_graph(5, 2),
-    induced_subgraph(mycielski(family("cycle", 5)), {0, 3, 5, 8, 10}),
+    replicate(mycielski(family("cycle", 5)), [1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1]),
     replicate(path_graph(3), [2, 0, 3]),
     expand(family("cycle", 5), {1, 3}),
-    power_expansion(family("complete", 3), 3),
+    replicate(family("complete", 3), [3] * 3),
     mycielski(mycielski(build_graph(2, [(0, 1)]))),
 ]
 
@@ -204,41 +203,36 @@ class TestExpand:
 
     def test_expand_all_vertices_is_second_power_expansion(self):
         for G in (family("cycle", 4), family("complete", 3), path_graph(3)):
-            assert is_isomorphic(expand(G, set(range(G.n))), power_expansion(G, 2))
+            assert is_isomorphic(expand(G, set(range(G.n))), replicate(G, [2] * G.n))
 
 
 class TestPowerExpansion:
     def test_identity_case(self):
         G = family("cycle", 5)
-        assert power_expansion(G, 1) == G
+        assert replicate(G, [1] * G.n) == G
 
     def test_edge_becomes_K4(self):
         assert is_isomorphic(
-            power_expansion(build_graph(2, [(0, 1)]), 2), family("complete", 4)
+            replicate(build_graph(2, [(0, 1)]), [2, 2]), family("complete", 4)
         )
 
     def test_C5_second_expansion_degrees(self):
-        H = power_expansion(family("cycle", 5), 2)
+        H = replicate(family("cycle", 5), [2] * 5)
         assert H.n == 10
         assert all(len(neighbors(H, v)) == 5 for v in range(10))
 
     def test_vertex_and_edge_counts(self):
         for G in (family("cycle", 5), family("complete", 4), path_graph(4)):
             for s in (1, 2, 3):
-                H = power_expansion(G, s)
+                H = replicate(G, [s] * G.n)
                 assert H.n == G.n * s
                 assert H.m == s * s * G.m + G.n * (s * (s - 1) // 2)
 
     def test_one_shadow_per_vertex_recovers_graph(self):
         G = family("cycle", 7)
-        H = power_expansion(G, 3)
+        H = replicate(G, [3] * G.n)
         keep = {i * 3 + ((i * 2) % 3) for i in range(7)}  # one shadow each, mixed copies
         assert is_isomorphic(induced_subgraph(H, keep), G)
-
-    def test_invalid_s(self):
-        with pytest.raises(ValueError):
-            power_expansion(family("cycle", 5), 0)
-
 
 class TestReplicate:
     def test_counts_clique_and_drop(self):
@@ -266,7 +260,7 @@ class TestReplicate:
     @pytest.mark.parametrize("G", REPLICATION_CASES, ids=["C5", "K4", "M(C5)"])
     @pytest.mark.parametrize("s", [1, 2, 3])
     def test_power_expansion_matches_oracle(self, G, s):
-        assert power_expansion(G, s) == brute_replicate(G, [s] * G.n)
+        assert replicate(G, [s] * G.n) == brute_replicate(G, [s] * G.n)
 
     @given(graphs_with_edges(), st.data())
     def test_matches_oracle_on_random_graphs(self, G, data):
@@ -275,7 +269,7 @@ class TestReplicate:
         W = [v for v in range(G.n) if copies[v] >= 2]
         assert expand(G, W) == brute_replicate(G, [2 if c >= 2 else 1 for c in copies])
         s = data.draw(st.integers(1, 3))
-        assert power_expansion(G, s) == brute_replicate(G, [s] * G.n)
+        assert replicate(G, [s] * G.n) == brute_replicate(G, [s] * G.n)
 
 
 class TestMycielski:

@@ -3,11 +3,7 @@
 import pytest
 
 from coverideal.coloring import b_fold_chromatic, fractional_value
-from coverideal.correspondence import (
-    PersistenceFinding,
-    probe_expansion,
-    verify_correspondence,
-)
+from coverideal.correspondence import probe_expansion, verify_correspondence
 from coverideal.graphs import family
 from coverideal.ideals import cover_ideal, irreducible_decomposition
 
@@ -21,13 +17,6 @@ RECORDS = {
     "IrreducibleIdeal": irreducible_decomposition(cover_ideal(C5))[0],
     "ComponentCorrespondence": verify_correspondence(C5, 2)[0],
     "ConjectureWitness": probe_expansion(C5, {0, 2}),
-    "PersistenceFinding": PersistenceFinding(
-        graph_index=0,
-        s=1,
-        missing=(frozenset({0, 1}),),
-        ass_s=(frozenset({0, 1}),),
-        ass_next=(),
-    ),
 }
 
 

@@ -56,12 +56,35 @@ total: 142 connected graphs, 290 persistence checks
 no associated prime of J^s was missing from J^(s+1)
 """
 
+SWEEP_7_2 = """\
+n=2: cumulative 1 graphs, 2 checks, 0 findings
+n=3: cumulative 3 graphs, 6 checks, 0 findings
+n=4: cumulative 9 graphs, 18 checks, 0 findings
+n=5: cumulative 30 graphs, 60 checks, 0 findings
+n=6: cumulative 142 graphs, 284 checks, 0 findings
+n=7: cumulative 995 graphs, 1990 checks, 0 findings
+cycle:5: checked s=1..2
+cycle:7: checked s=1..2
+cycle:9: checked s=1..2
 
-def test_persistence_sweep_report():
-    proc = run_script("persistence_sweep.py", "--max-n", "6", "--s-max", "2")
+total: 995 connected graphs, 1996 persistence checks
+no associated prime of J^s was missing from J^(s+1)
+"""
+
+
+def _sweep_report(max_n):
+    proc = run_script("persistence_sweep.py", "--max-n", str(max_n), "--s-max", "2")
     assert proc.returncode == 0
     out = re.sub(r" \(\d+\.\ds\)$", "", proc.stdout, flags=re.M)
-    assert re.sub(r", \d+\.\ds$", "", out, flags=re.M) == SWEEP_6_2
+    return re.sub(r", \d+\.\ds$", "", out, flags=re.M)
+
+
+def test_persistence_sweep_report():
+    assert _sweep_report(6) == SWEEP_6_2
+
+
+def test_persistence_sweep_report_7_vertices():
+    assert _sweep_report(7) == SWEEP_7_2
 
 
 def _hunt_digest(max_n):
