@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .coloring import (
     b_fold_chromatic,
-    chromatic_number,
     classify_chi_f_window,
     fractional_value,
     is_critical,
@@ -32,7 +31,7 @@ from .correspondence import (
     technical_lemma_check,
     verify_correspondence,
 )
-from .graphs import Graph, build_graph, family, mycielski, path_graph
+from .graphs import Graph, build_graph, family, mycielski
 from .ideals import associated_primes, cover_ideal, irreducible_decomposition, power
 
 __all__ = ["exit_code", "main", "parse_builtin", "parse_edge_list", "parse_graph6"]
@@ -40,9 +39,10 @@ __all__ = ["exit_code", "main", "parse_builtin", "parse_edge_list", "parse_graph
 _BUILTIN_KINDS = ("cycle", "complete", "antihole", "path", "mycielski-cycle")
 
 # Largest vertex count any input may ask for, checked before the graph is
-# built.  The colouring search and the maximal-independent-set enumeration
-# recurse once per vertex, so Python's default recursion limit of 1000
-# frames already ends larger runs.
+# built, so an edge-list or graph6 header cannot make ``build_graph``
+# allocate without bound.  The colouring search recurses once per vertex
+# of a component, so Python's default recursion limit of 1000 frames
+# already ends larger runs.
 _VERTEX_LIMIT = 1000
 
 
@@ -154,8 +154,6 @@ def parse_builtin(spec: str) -> Graph:
         raise CLIError(f"builtin size must be an integer, got {num!r}") from None
     _check_vertex_count(2 * n + 1 if kind == "mycielski-cycle" else n)
     try:
-        if kind == "path":
-            return path_graph(n)
         if kind == "mycielski-cycle":
             return mycielski(family("cycle", n))
         return family(kind, n)
@@ -186,10 +184,6 @@ def _load_graph(args) -> tuple[Graph, str]:
 
 def _frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
-
-
-def _vset(vs) -> list[int]:
-    return sorted(vs)
 
 
 def _component_strs(comp) -> list[str]:
@@ -257,14 +251,13 @@ def _cmd_invariants(args):
         raise CLIError("invariants need a graph with at least one vertex")
     inputs = {"graph": source, "bfold": folds}
     chi_f = fractional_value(G)[0]
-    chi, _ = chromatic_number(G)
-    critical, _, failing = is_critical(G)
+    critical, chi, failing = is_critical(G)
     results = {
         "n": G.n,
         "m": G.m,
         "chi": chi,
         "critical": critical,
-        "failing_vertices": _vset(failing),
+        "failing_vertices": failing,
         "chi_b": [[b, b_fold_chromatic(G, b)[0]] for b in sorted(set(folds))],
         "chi_f": _frac(chi_f),
         "chi_f_window": classify_chi_f_window(G),
@@ -285,7 +278,7 @@ def _cmd_decompose(args):
         "generators": ["*".join(f"x{i}^{e}" for i, e in enumerate(g) if e) for g in Js.gens],
         "components": [_component_strs(c) for c in decomp],
         "component_count": len(decomp),
-        "associated_primes": [_vset(p) for p in associated_primes(Js)],
+        "associated_primes": [sorted(p) for p in associated_primes(Js)],
     }
     return 0, inputs, results
 
@@ -302,7 +295,7 @@ def _cmd_verify(args):
             "components": [
                 {
                     "component": _component_strs(r.component),
-                    "Y": _vset(r.Y),
+                    "Y": sorted(r.Y),
                     "chi": r.chi,
                     "verified": r.verified_critical,
                 }
@@ -316,7 +309,7 @@ def _cmd_verify(args):
         results = {
             "s": args.power,
             "holds": holds,
-            "missing_primes": [_vset(p) for p in missing],
+            "missing_primes": [sorted(p) for p in missing],
         }
         return (0 if holds else 1), inputs, results
     # technical-lemma
@@ -327,10 +320,10 @@ def _cmd_verify(args):
         raise CLIError("--W vertices out of range")
     if args.b < 1:
         raise CLIError("--b must be >= 1")
-    inputs = {"graph": source, "which": args.which, "W": _vset(set(W)), "b": args.b}
+    inputs = {"graph": source, "which": args.which, "W": sorted(set(W)), "b": args.b}
     member, d = technical_lemma_check(G, W, args.b)
     results = {
-        "W": _vset(set(W)),
+        "W": sorted(set(W)),
         "b": args.b,
         "expansion_bfold_chromatic": d,
         "member": member,
@@ -349,7 +342,7 @@ def _cmd_conjecture(args):
             None
             if witness is None
             else {
-                "W": _vset(witness.W),
+                "W": sorted(witness.W),
                 "maximal_independent": witness.is_maximal_independent,
                 "expanded_chi": witness.expanded_chi,
                 "expanded_critical": witness.expanded_critical,

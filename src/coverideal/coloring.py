@@ -24,8 +24,6 @@ __all__ = [
     "b_fold_chromatic",
     "fractional_value",
     "classify_chi_f_window",
-    "coloring_is_proper",
-    "certificate_is_valid",
 ]
 
 class Coloring(NamedTuple):
@@ -283,31 +281,3 @@ def classify_chi_f_window(G: Graph) -> bool:
     chi, _ = chromatic_number(G)
     value, _ = fractional_value(G)
     return chi - 1 < value <= chi
-
-
-def coloring_is_proper(G: Graph, col: Coloring) -> bool:
-    """Validate a b-fold coloring against its graph."""
-    if len(col.assignment) != G.n or col.b < 1 or col.colors_used < 0:
-        return False
-    for cs in col.assignment:
-        if len(cs) != col.b:
-            return False
-        if any(c < 0 or c >= col.colors_used for c in cs):
-            return False
-    return all(not col.assignment[u] & col.assignment[v] for u, v in G.edges())
-
-
-def certificate_is_valid(G: Graph, cert: FractionalCertificate) -> bool:
-    """Validate a fractional cover certificate: independence, coverage, total."""
-    if sum((w for _, w in cert.weights), Fraction(0)) != cert.total:
-        return False
-    if any(w <= 0 for _, w in cert.weights):
-        return False
-    for s, _ in cert.weights:
-        mask = sum(1 << v for v in s)
-        if any(G.masks[v] & mask for v in s):
-            return False
-    for v in range(G.n):
-        if sum((w for s, w in cert.weights if v in s), Fraction(0)) < 1:
-            return False
-    return True

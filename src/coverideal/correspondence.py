@@ -5,7 +5,7 @@ persistence of associated primes and the critical-expansion search."""
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import chain, combinations, product
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .coloring import chromatic_number, is_critical, b_fold_chromatic
@@ -24,7 +24,6 @@ __all__ = [
     "ConjectureWitness",
     "component_to_Y",
     "verify_correspondence",
-    "converse_correspondence",
     "persistence_check",
     "expansion_witnesses",
     "probe_expansion",
@@ -94,30 +93,6 @@ def verify_correspondence(G: Graph, s: int) -> list[ComponentCorrespondence]:
             )
         )
     return out
-
-
-def converse_correspondence(G: Graph, s: int) -> list[IrreducibleIdeal]:
-    """Critical canonical shadow sets whose component is absent from J(G)^s.
-
-    Walks every copy vector in 0..s per vertex (the image of _copies), keeps
-    those whose replication is critically (s+1)-chromatic, and returns the
-    components they read as that are missing from the decomposition, in
-    its order.  A vector with at most s shadows cannot reach s+1 colours.
-    An empty list is the expected outcome.
-    """
-    decomp = set(irreducible_decomposition(power(cover_ideal(G), s)))
-    missing = []
-    for copies in product(range(s + 1), repeat=G.n):
-        if sum(copies) <= s:
-            continue
-        H = replicate(G, copies)
-        if chromatic_number(H)[0] != s + 1 or not is_critical(H)[0]:
-            continue
-        # The inverse of _copies: c shadows read as exponent s - c + 1.
-        comp = IrreducibleIdeal(G.n, tuple((v, s - c + 1) for v, c in enumerate(copies) if c))
-        if comp not in decomp:
-            missing.append(comp)
-    return sorted(missing, key=IrreducibleIdeal.sort_key)
 
 
 def persistence_check(G: Graph, s: int) -> tuple[bool, list[frozenset[int]]]:

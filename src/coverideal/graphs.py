@@ -21,7 +21,6 @@ __all__ = [
     "build_graph",
     "complement",
     "family",
-    "path_graph",
     "kneser_graph",
     "replicate",
     "expand",
@@ -51,9 +50,6 @@ class Graph(NamedTuple):
     def degree(self, v: int) -> int:
         return self.masks[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.masks[u] >> v & 1)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v, in sorted order."""
         return [(u, v) for u, m in enumerate(self.masks) for v in _members(m >> u + 1 << u + 1)]
@@ -81,7 +77,11 @@ def complement(G: Graph) -> Graph:
 
 
 def family(kind: str, n: int) -> Graph:
-    """Standard families: ``cycle``, ``complete``, or ``antihole`` on n vertices."""
+    """Standard families: ``path``, ``cycle``, ``complete``, or ``antihole`` on n vertices."""
+    if kind == "path":
+        if n < 1:
+            raise ValueError("path needs n >= 1")
+        return build_graph(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "cycle":
         if n < 3:
             raise ValueError("cycle needs n >= 3")
@@ -95,13 +95,6 @@ def family(kind: str, n: int) -> Graph:
             raise ValueError("antihole needs n >= 3")
         return complement(family("cycle", n))
     raise ValueError(f"unknown family kind {kind!r}")
-
-
-def path_graph(n: int) -> Graph:
-    """Path on n >= 1 vertices."""
-    if n < 1:
-        raise ValueError("path needs n >= 1")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def kneser_graph(n: int, k: int) -> Graph:

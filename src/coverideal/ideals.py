@@ -58,17 +58,12 @@ __all__ = [
     "cover_ideal",
     "multiply",
     "power",
-    "contains",
     "contains_in_power",
     "irreducible_decomposition",
     "associated_primes",
 ]
 
 Monomial = tuple[int, ...]
-
-
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
 
 
 def _max_exponent(gens) -> int:
@@ -276,14 +271,6 @@ def power(I: MonomialIdeal, s: int) -> MonomialIdeal:
     return out
 
 
-def contains(I: MonomialIdeal, m: Monomial) -> bool:
-    """Monomial membership: some generator divides m."""
-    m = tuple(m)
-    if len(m) != I.nvars:
-        raise ValueError("monomial length must equal the variable count")
-    return any(_divides(g, m) for g in I.gens)
-
-
 def contains_in_power(J: MonomialIdeal, d: int, m: Monomial) -> bool:
     """Whether m lies in the d-th power of the squarefree ideal J.
 
@@ -315,12 +302,6 @@ class IrreducibleIdeal(NamedTuple):
     @property
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.exps)
-
-    def contains_monomial(self, m: Monomial) -> bool:
-        return any(m[v] >= e for v, e in self.exps)
-
-    def sort_key(self):
-        return tuple(v for v, _ in self.exps), tuple(e for _, e in self.exps)
 
 
 def _intersect(R: list, tops: list[int]) -> list[tuple[int, ...]]:

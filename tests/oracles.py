@@ -13,7 +13,13 @@ solver, kept as the cross-check of the revised simplex.
 the induced subgraph of the s-th expansion on its shadow set, kept as the
 cross-check of ``replicate``.
 ``b_fold_via_membership`` reaches chi_b through the package's cover-ideal
-membership, as a cross-check of the coloring route.  Oracles read a
+membership, as a cross-check of the coloring route.
+The checkers ``coloring_is_proper`` and ``certificate_is_valid`` validate
+the package's coloring and fractional-cover witnesses, and
+``converse_correspondence`` is the completeness direction of the
+component dictionary: it walks every critical shadow set and asks whether
+its component is in the decomposition.  ``component_contains`` and
+``component_key`` read one irreducible component.  Oracles read a
 neighborhood only through ``neighbors``."""
 
 from __future__ import annotations
@@ -21,14 +27,16 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from coverideal.coloring import is_critical
+from coverideal.coloring import Coloring, FractionalCertificate, chromatic_number, is_critical
 from coverideal.corpus import connected_graphs, graphs_with_min_degree
-from coverideal.graphs import Graph, build_graph, is_connected
+from coverideal.graphs import Graph, build_graph, is_connected, replicate
 from coverideal.ideals import (
     IrreducibleIdeal,
     MonomialIdeal,
     contains_in_power,
     cover_ideal,
+    irreducible_decomposition,
+    power,
 )
 
 
@@ -513,7 +521,7 @@ def _contains_ideal(a: IrreducibleIdeal, b: IrreducibleIdeal) -> bool:
 
 
 def _prune(components) -> tuple[IrreducibleIdeal, ...]:
-    uniq = sorted(set(components), key=IrreducibleIdeal.sort_key)
+    uniq = sorted(set(components), key=component_key)
     kept = [
         c
         for c in uniq
@@ -576,3 +584,67 @@ def perfect_graph_components(G: Graph, s: int) -> set[IrreducibleIdeal]:
                 if sum(s + 1 - a for a in exps) == s + 1:
                     comps.add(IrreducibleIdeal(G.n, tuple(zip(clique, exps))))
     return comps
+
+
+# ---------------------------------------------------------------------------
+# checkers of the package's witnesses and of the dictionary's converse
+
+
+def coloring_is_proper(G: Graph, col: Coloring) -> bool:
+    """Validate a b-fold coloring against its graph."""
+    if len(col.assignment) != G.n or col.b < 1 or col.colors_used < 0:
+        return False
+    for cs in col.assignment:
+        if len(cs) != col.b:
+            return False
+        if any(c < 0 or c >= col.colors_used for c in cs):
+            return False
+    return all(not col.assignment[u] & col.assignment[v] for u, v in G.edges())
+
+
+def certificate_is_valid(G: Graph, cert: FractionalCertificate) -> bool:
+    """Validate a fractional cover certificate: independence, coverage, total."""
+    if sum((w for _, w in cert.weights), Fraction(0)) != cert.total:
+        return False
+    if any(w <= 0 for _, w in cert.weights):
+        return False
+    if any(neighbors(G, v) & s for s, _ in cert.weights for v in s):
+        return False
+    for v in range(G.n):
+        if sum((w for s, w in cert.weights if v in s), Fraction(0)) < 1:
+            return False
+    return True
+
+
+def component_contains(c: IrreducibleIdeal, m) -> bool:
+    """Whether the monomial m lies in the irreducible ideal c."""
+    return any(m[v] >= e for v, e in c.exps)
+
+
+def component_key(c: IrreducibleIdeal):
+    """Canonical sort key of a component: its support, then its exponents."""
+    return tuple(v for v, _ in c.exps), tuple(e for _, e in c.exps)
+
+
+def converse_correspondence(G: Graph, s: int) -> list[IrreducibleIdeal]:
+    """Critical canonical shadow sets whose component is absent from J(G)^s.
+
+    Walks every copy vector in 0..s per vertex (the image of the shadow
+    rule), keeps those whose replication is critically (s+1)-chromatic,
+    and returns the components they read as that are missing from the
+    decomposition, in its order.  A vector with at most s shadows cannot
+    reach s+1 colours.  An empty list is the expected outcome.
+    """
+    decomp = set(irreducible_decomposition(power(cover_ideal(G), s)))
+    missing = []
+    for copies in product(range(s + 1), repeat=G.n):
+        if sum(copies) <= s:
+            continue
+        H = replicate(G, copies)
+        if chromatic_number(H)[0] != s + 1 or not is_critical(H)[0]:
+            continue
+        # c shadows of v read as the exponent s - c + 1 at v.
+        comp = IrreducibleIdeal(G.n, tuple((v, s - c + 1) for v, c in enumerate(copies) if c))
+        if comp not in decomp:
+            missing.append(comp)
+    return sorted(missing, key=component_key)

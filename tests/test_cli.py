@@ -394,7 +394,7 @@ class TestInputChannels:
         assert code == 2
 
     def test_bad_builtin(self, capsys):
-        for spec in ("wheel:5", "cycle", "cycle:x", "cycle:2"):
+        for spec in ("wheel:5", "cycle", "cycle:x", "cycle:2", "path:0"):
             code, _, err = run_cli(capsys, "invariants", "--builtin", spec)
             assert code == 2, spec
 

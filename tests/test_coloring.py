@@ -16,10 +16,8 @@ from conftest import graphs, graphs_with_components
 from coverideal import coloring, lp
 from coverideal.coloring import (
     b_fold_chromatic,
-    certificate_is_valid,
     chromatic_number,
     classify_chi_f_window,
-    coloring_is_proper,
     fractional_value,
     is_critical,
 )
@@ -29,9 +27,15 @@ from coverideal.graphs import (
     family,
     kneser_graph,
     mycielski,
-    path_graph,
 )
-from oracles import brute_b_fold, brute_chromatic, delete_vertex, induced_subgraph
+from oracles import (
+    brute_b_fold,
+    brute_chromatic,
+    certificate_is_valid,
+    coloring_is_proper,
+    delete_vertex,
+    induced_subgraph,
+)
 
 
 class TestChromaticNumber:
@@ -41,7 +45,7 @@ class TestChromaticNumber:
             (family("complete", 4), 4),
             (family("cycle", 9), 3),
             (family("cycle", 6), 2),
-            (path_graph(1), 1),
+            (family("path", 1), 1),
             (kneser_graph(5, 2), 3),
         ],
         ids=["K4", "C9", "C6", "K1", "petersen"],
@@ -212,7 +216,7 @@ class TestBFold:
             family("cycle", 7),
             family("complete", 4),
             family("antihole", 7),
-            path_graph(4),
+            family("path", 4),
             kneser_graph(5, 2),
         ]
         for G in corpus:

@@ -13,36 +13,46 @@ from hypothesis import strategies as st
 
 from conftest import graphs, graphs_with_edges
 from coverideal import correspondence
-from coverideal.coloring import b_fold_chromatic, chromatic_number, is_critical
+from coverideal.coloring import (
+    b_fold_chromatic,
+    chromatic_number,
+    classify_chi_f_window,
+    is_critical,
+)
 from coverideal.correspondence import (
     _copies,
     component_to_Y,
-    converse_correspondence,
     expansion_witnesses,
     persistence_check,
     probe_expansion,
     technical_lemma_check,
     verify_correspondence,
 )
-from coverideal.corpus import connected_graphs
+from coverideal.corpus import connected_graphs, critical_graphs
 from coverideal.graphs import (
     build_graph,
     expand,
     family,
     maximal_independent_sets,
     mycielski,
-    path_graph,
     replicate,
 )
 from coverideal.ideals import (
     IrreducibleIdeal,
     _held_power,
     associated_primes,
+    contains_in_power,
     cover_ideal,
     irreducible_decomposition,
     power,
 )
-from oracles import brute_replicate, induced_subgraph, neighbors, perfect_graph_components
+from oracles import (
+    brute_replicate,
+    converse_correspondence,
+    induced_subgraph,
+    neighbors,
+    perfect_graph_components,
+)
 
 
 class TestComponentToY:
@@ -161,8 +171,8 @@ class TestConverseCorrespondence:
     def test_missing_components_in_decomposition_order(self, monkeypatch):
         # Against J(P5)^2 the critical shadow sets of C5 that need the
         # edge 04 are missing; they come sorted as components are.
-        J2 = power(cover_ideal(path_graph(5)), 2)
-        monkeypatch.setattr(correspondence, "power", lambda J, s: J2)
+        J2 = power(cover_ideal(family("path", 5)), 2)
+        monkeypatch.setattr("oracles.power", lambda J, s: J2)
         missing = converse_correspondence(family("cycle", 5), 2)
         assert [c.exps for c in missing] == [
             ((0, 2), (1, 2), (2, 2), (3, 2), (4, 2)),
@@ -335,6 +345,18 @@ class TestConjectureSearch:
         assert all(w.is_maximal_independent and w.expanded_chi == 4 for w in witnesses)
         assert witnesses[0] == first_witness(C5)
 
+    def test_proved_window_case_on_critical_graphs_to_eight_vertices(self):
+        # The paper proves the conjecture for critical graphs with
+        # chi - 1 < chi_f <= chi; every critical graph on 2-8 vertices is
+        # one, and each has a maximal-independent witness.
+        census = [G for n in range(2, 9) for G, _ in critical_graphs(n)]
+        assert len(census) == 34
+        for G in census:
+            assert classify_chi_f_window(G), G.edges()
+            witness = first_witness(G)
+            assert witness is not None, G.edges()
+            assert witness.is_maximal_independent, G.edges()
+
     def test_expansion_fault_raises(self, expansion_fault):
         # A maximal-independent expansion of C5 that reaches chi + 1 but
         # reads non-critical is an internal error, not "no witness".
@@ -382,6 +404,18 @@ class TestProbeExpansion:
             for c in combinations(range(G.n), r):
                 W = frozenset(c)
                 assert correspondence._is_maximal_independent(G, W) == (W in maximal)
+
+
+class TestReplicationLemma:
+    @given(graphs_with_edges(max_n=5), st.integers(1, 3), st.data())
+    def test_colorable_iff_member_of_power(self, G, s, data):
+        # replicate(G, c) is s-colourable iff x^(s - c) lies in J(G)^s: its
+        # colour classes are s independent sets of G covering v c_v times,
+        # and their complements are s covers dividing x^(s - c).
+        c = data.draw(st.lists(st.integers(0, s), min_size=G.n, max_size=G.n))
+        colorable = chromatic_number(replicate(G, c))[0] <= s
+        member = contains_in_power(cover_ideal(G), s, [s - cv for cv in c])
+        assert colorable == member
 
 
 class TestTechnicalLemma:

@@ -27,7 +27,6 @@ from coverideal.graphs import (
     maximal_independent_sets,
     minimal_vertex_covers,
     mycielski,
-    path_graph,
     replicate,
 )
 from oracles import (
@@ -57,7 +56,7 @@ STRUCTURE_CASES = [
     family("antihole", 7),
     kneser_graph(5, 2),
     replicate(mycielski(family("cycle", 5)), [1, 0, 0, 1, 0, 1, 0, 0, 1, 0, 1]),
-    replicate(path_graph(3), [2, 0, 3]),
+    replicate(family("path", 3), [2, 0, 3]),
     expand(family("cycle", 5), {1, 3}),
     replicate(family("complete", 3), [3] * 3),
     mycielski(mycielski(build_graph(2, [(0, 1)]))),
@@ -122,9 +121,11 @@ class TestFamilies:
             family("banana", 3)
 
     def test_path(self):
-        assert path_graph(1).m == 0
-        P = path_graph(4)
+        assert family("path", 1).m == 0
+        P = family("path", 4)
         assert P.n == 4 and P.m == 3
+        with pytest.raises(ValueError, match="path needs n >= 1"):
+            family("path", 0)
 
     def test_kneser_petersen(self):
         P = kneser_graph(5, 2)
@@ -153,7 +154,7 @@ class TestInducedAndDelete:
 
     def test_delete_vertex_cycle(self):
         H = delete_vertex(family("cycle", 5), 0)
-        assert is_isomorphic(H, path_graph(4))
+        assert is_isomorphic(H, family("path", 4))
 
     def test_delete_vertex_clique(self):
         assert is_isomorphic(
@@ -202,7 +203,7 @@ class TestExpand:
             assert is_isomorphic(base, H)
 
     def test_expand_all_vertices_is_second_power_expansion(self):
-        for G in (family("cycle", 4), family("complete", 3), path_graph(3)):
+        for G in (family("cycle", 4), family("complete", 3), family("path", 3)):
             assert is_isomorphic(expand(G, set(range(G.n))), replicate(G, [2] * G.n))
 
 
@@ -222,7 +223,7 @@ class TestPowerExpansion:
         assert all(len(neighbors(H, v)) == 5 for v in range(10))
 
     def test_vertex_and_edge_counts(self):
-        for G in (family("cycle", 5), family("complete", 4), path_graph(4)):
+        for G in (family("cycle", 5), family("complete", 4), family("path", 4)):
             for s in (1, 2, 3):
                 H = replicate(G, [s] * G.n)
                 assert H.n == G.n * s
@@ -237,7 +238,7 @@ class TestPowerExpansion:
 class TestReplicate:
     def test_counts_clique_and_drop(self):
         # Shadows of 0 sit at 0, 1 and shadows of 2 at 2, 3, 4; vertex 1 is dropped.
-        H = replicate(path_graph(3), [2, 0, 3])
+        H = replicate(family("path", 3), [2, 0, 3])
         assert H.n == 5
         assert H.edges() == [(0, 1), (2, 3), (2, 4), (3, 4)]
 
@@ -371,7 +372,7 @@ class TestIsomorphism:
         assert is_isomorphic(family("cycle", 5), family("antihole", 5))
 
     def test_C5_vs_path5(self):
-        assert not is_isomorphic(family("cycle", 5), path_graph(5))
+        assert not is_isomorphic(family("cycle", 5), family("path", 5))
 
     def test_mycielski_K2_vs_C5(self):
         assert is_isomorphic(mycielski(build_graph(2, [(0, 1)])), family("cycle", 5))
@@ -394,7 +395,7 @@ class TestIsomorphism:
         assert not is_isomorphic(_cube(), _wagner())
 
     def test_first_of_each_class_keeps_first_in_order(self):
-        C5, P5 = family("cycle", 5), path_graph(5)
+        C5, P5 = family("cycle", 5), family("path", 5)
         P5_relabeled = build_graph(5, [(4, 3), (3, 0), (0, 2), (2, 1)])
         kept = first_of_each_class([C5, P5, family("antihole", 5), P5_relabeled])
         assert len(kept) == 2
@@ -424,7 +425,7 @@ def _wagner():
 
 def _is_automorphism(G, p):
     return sorted(p) == list(range(G.n)) and all(
-        G.has_edge(p[u], p[v]) for u, v in G.edges()
+        G.masks[p[u]] >> p[v] & 1 for u, v in G.edges()
     )
 
 

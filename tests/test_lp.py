@@ -12,12 +12,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import graphs
-from coverideal.coloring import certificate_is_valid, fractional_value
+from coverideal.coloring import fractional_value
 from coverideal.corpus import all_graphs
 from coverideal.graphs import family, kneser_graph, maximal_independent_sets, mycielski
 from coverideal import lp
 from coverideal.lp import _SET_LIMIT, solve_cover_lp
-from oracles import dense_cover_lp
+from oracles import certificate_is_valid, dense_cover_lp
 
 EXTENDED = os.environ.get("COVERIDEAL_EXTENDED") == "1"
 

@@ -111,6 +111,23 @@ def test_decompose_powers():
     assert "s=2: all 11 components verified critically 3-chromatic" in proc.stdout
 
 
+DECOMPOSE_NO_VERIFY = """\
+mycielski-cycle:5: n=11 m=20, cover ideal has 16 minimal generators
+s=1: 16 generators, 20 components, support sizes {2: 20}
+s=2: 131 generators, 71 components, support sizes {2: 40, 5: 31}
+s=3: 741 generators, 251 components, support sizes {2: 60, 5: 155, 8: 15, 9: 20, 11: 1}
+"""
+
+
+def test_decompose_powers_no_verify():
+    proc = run_script(
+        "decompose_powers.py", "--builtin", "mycielski-cycle:5", "--s-max", "3", "--no-verify"
+    )
+    assert proc.returncode == 0
+    assert re.sub(r" \(\d+\.\ds\)", "", proc.stdout) == DECOMPOSE_NO_VERIFY
+    assert "verified" not in proc.stdout
+
+
 @pytest.mark.parametrize("builtin", ["foo:5", "cycle:x"])
 def test_decompose_powers_bad_builtin(builtin):
     proc = run_script("decompose_powers.py", "--builtin", builtin)

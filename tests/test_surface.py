@@ -20,16 +20,12 @@ PUBLIC = [
     "automorphisms",
     "b_fold_chromatic",
     "build_graph",
-    "certificate_is_valid",
     "chromatic_number",
     "classify_chi_f_window",
-    "coloring_is_proper",
     "complement",
     "component_to_Y",
     "connected_graphs",
-    "contains",
     "contains_in_power",
-    "converse_correspondence",
     "cover_ideal",
     "critical_graphs",
     "expand",
@@ -48,7 +44,6 @@ PUBLIC = [
     "monomial_ideal",
     "multiply",
     "mycielski",
-    "path_graph",
     "persistence_check",
     "power",
     "probe_expansion",
