@@ -166,13 +166,22 @@ def is_critical(G: Graph) -> tuple[bool, int, list[int]]:
     """Whether every single-vertex deletion drops the chromatic number.
 
     Returns (critical, chi, failing vertices); a vertex fails when deleting
-    it leaves the chromatic number unchanged.
+    it leaves the chromatic number unchanged.  Vertices with equal closed
+    neighborhoods are swapped by an automorphism, so their deletions leave
+    isomorphic graphs: one coloring decides the whole twin class.
     """
     if G.n == 0:
         raise ValueError("criticality needs at least one vertex")
     chi, _ = chromatic_number(G)
     full = (1 << G.n) - 1
-    failing = [v for v in range(G.n) if _colorable(G.masks, chi - 1, full ^ (1 << v)) is None]
+    fails: dict[int, bool] = {}
+    failing = []
+    for v, m in enumerate(G.masks):
+        closed = m | 1 << v
+        if closed not in fails:
+            fails[closed] = _colorable(G.masks, chi - 1, full ^ 1 << v) is None
+        if fails[closed]:
+            failing.append(v)
     return not failing, chi, failing
 
 

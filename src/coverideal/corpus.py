@@ -6,11 +6,11 @@ in ``combinations`` order, and the first candidate of each class is kept.
 
 Two things keep that cheap without changing what is kept:
 
-- Orbit pruning.  Aut(parent) is enumerated once per parent.  For each
-  neighborhood size, only the first member of each orbit of the optional
-  neighbors under Aut(parent) is extended; automorphisms preserve degree,
-  so they fix the set of low-degree vertices every neighborhood must
-  cover.  A skipped neighborhood is the image of an earlier one from the
+- Orbit pruning.  Aut(parent) is enumerated at most once per parent.
+  For each neighborhood size, only the first member of each orbit of the
+  optional neighbors under Aut(parent) is extended; automorphisms
+  preserve degree, so they fix the set of low-degree vertices every
+  neighborhood must cover.  A skipped neighborhood is the image of an earlier one from the
   same parent, so its graph is isomorphic to an earlier candidate: it
   could never have been the first of its class, and the first-kept
   representatives and their order are exactly those of the unpruned
@@ -21,19 +21,23 @@ Two things keep that cheap without changing what is kept:
   representatives in its bucket, by bitmask backtracking within color
   cells; the same matcher enumerates Aut(parent).
 
-The critical census (``critical_graphs``) takes one route for every n: it
-screens the same extension stream before deduplicating, keeping only
-connected candidates in which no vertex's neighborhood lies inside a
-non-neighbor's, as in every critical graph on two or more vertices.  A
-screen that is an isomorphism invariant drops whole classes, so the
-survivors keep their first-kept representatives, labels and order, and
-the level the screens discard is never built.
+The critical census (``critical_graphs``) takes one route for every n
+and screens before it builds.  A parent screen drops candidate parents
+before they are deduplicated, and a neighborhood screen tests each new
+neighborhood as a bitmask before the orbit bookkeeping and before any
+graph is built.  Both rest on two textbook facts about a k-critical graph
+G with k >= 3: G has no cut vertex (Dirac, 1952), and chi(G - v) = k - 1
+for every v.  Every screen is an isomorphism invariant that holds for
+G - v and N(v) whenever G is critical, so each critical class keeps its
+first-kept representative, label and order.  The screened parent level is
+local to the call, not cached.
 
 Expected class counts (1, 2, 4, 11, 34, 156, 1044 for n = 1..7) are frozen
 into the test suite, and ``tests/oracles.py`` keeps the pairwise route
 (every extension, an invariant bucket and a joint isomorphism test per
-pair) as the cross-check of the representatives, and the filter-afterwards
-census as the cross-check of the screened one.
+pair) as the cross-check of the representatives, the filter-afterwards
+census as the cross-check of the screened one, and ``_dominated`` as the
+graph-level reference of the neighborhood screen.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .coloring import is_critical
+from .coloring import _colorable, is_critical
 from .graphs import (
     Graph,
     _members,
@@ -70,99 +74,160 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(G for G in all_graphs(n) if is_connected(G))
 
 
-def _extensions(n: int, dmin: int):
-    """Orbit-pruned extensions of the level below, in census order.
+def _extensions(parents, dmin: int, screen=None):
+    """Orbit-pruned extensions of the given parents, in census order.
 
     Every graph on n vertices with minimum degree >= dmin extends a
-    representative of ``graphs_with_min_degree(n - 1, max(dmin - 1, 0))``
-    by a vertex n - 1 whose neighborhood S covers every parent vertex of
-    degree < dmin and has size >= dmin.  The neighborhoods of one parent
-    come in ``combinations`` order of their optional part, and only the
-    first member of each orbit under Aut(parent) is extended.  A child's
-    masks are the parent's, with bit n - 1 set on the members of S.
+    representative of ``_parents(n, dmin)`` by a vertex n - 1 whose
+    neighborhood S covers every parent vertex of degree < dmin and has size
+    >= dmin.  The neighborhoods of one parent come in ``combinations`` order
+    of their optional part, and only the first member of each orbit under
+    Aut(parent) is extended.  A child's masks are the parent's, with bit
+    n - 1 set on the members of S.
+
+    ``screen(parent)``, when given, returns a test of S as a bitmask.  It
+    must be an Aut(parent)-invariant, so an S it rejects never enters the
+    orbit bookkeeping, and the automorphisms are listed only once a first S
+    of the parent passes.
     """
-    new = 1 << n - 1
-    for parent in graphs_with_min_degree(n - 1, max(dmin - 1, 0)):
+    for parent in parents:
+        new = 1 << parent.n
         deficient = [v for v in range(parent.n) if parent.degree(v) < dmin]
         optional = [v for v in range(parent.n) if parent.degree(v) >= dmin]
         need = max(dmin - len(deficient), 0)
         base = sum(1 << v for v in deficient)
-        auts = automorphisms(parent)
+        keep = screen(parent) if screen else None
+        auts = None
         for size in range(need, len(optional) + 1):
             seen: set[int] = set()
             for extra in combinations(optional, size):
                 bits = sum(1 << v for v in extra)
-                if bits in seen:
-                    continue
-                seen.update(sum(1 << p[v] for v in extra) for p in auts)
                 S = base | bits
+                if bits in seen or keep and not keep(S):
+                    continue
+                if auts is None:
+                    auts = automorphisms(parent)
+                seen.update(sum(1 << p[v] for v in extra) for p in auts)
                 masks = [m | new if S >> v & 1 else m for v, m in enumerate(parent.masks)]
-                yield Graph(n, (*masks, S))
+                yield Graph(parent.n + 1, (*masks, S))
+
+
+def _parents(n: int, dmin: int) -> tuple[Graph, ...]:
+    """The representatives whose extensions make up level (n, dmin).
+
+    Deleting a vertex lowers each remaining degree by at most one, so every
+    graph on n vertices with minimum degree >= dmin extends a graph on
+    n - 1 vertices of minimum degree >= dmin - 1.  The one graph on no
+    vertices is the parent of the single vertex.
+    """
+    if n == 1:
+        return (Graph(0, ()),)
+    return graphs_with_min_degree(n - 1, max(dmin - 1, 0))
 
 
 @lru_cache(maxsize=None)
 def graphs_with_min_degree(n: int, dmin: int) -> tuple[Graph, ...]:
     """All graphs on n vertices with minimum degree >= dmin, up to isomorphism.
 
-    Deleting a vertex lowers each remaining degree by at most one, so every
-    such graph extends an (n-1)-vertex graph of minimum degree >= dmin - 1,
-    with the new neighborhood covering every parent vertex of degree
-    dmin - 1 and having size >= dmin.  A dmin of 0 or less gives all graphs.
+    Each is an extension of ``_parents(n, dmin)`` whose new neighborhood
+    covers every parent vertex of degree dmin - 1 and has size >= dmin.  A
+    dmin of 0 or less gives all graphs.
     """
     if n < 1:
         raise ValueError("vertex count must be >= 1")
     dmin = max(dmin, 0)
     if dmin > n - 1:
         return ()
-    if n == 1:
-        return (build_graph(1, []),)
-    return tuple(first_of_each_class(_extensions(n, dmin)))
+    return tuple(first_of_each_class(_extensions(_parents(n, dmin), dmin)))
 
 
-def _dominated(G: Graph) -> bool:
-    """Whether some vertex u has N(u) inside N(v) for a non-neighbor v != u.
+def _dominated_pairs(P: Graph) -> tuple[int, int]:
+    """The heads and the tails of P's dominated pairs, as two vertex masks."""
+    full = (1 << P.n) - 1
+    heads = tails = 0
+    for u, mu in enumerate(P.masks):
+        for w in _members(full ^ mu ^ 1 << u):
+            if not mu & ~P.masks[w]:
+                heads |= 1 << u
+                tails |= 1 << w
+    return heads, tails
 
-    Such a u fails criticality: any coloring of G - u extends to G by
-    giving u the color of v.
-    """
-    full = (1 << G.n) - 1
-    for u, mu in enumerate(G.masks):
-        for v in _members(full ^ mu ^ 1 << u):
-            if not mu & ~G.masks[v]:
-                return True
-    return False
+
+def _can_carry(P: Graph, dmin: int) -> bool:
+    """The parent screen: whether P may be G - v for a critical G on level
+    (P.n + 1, dmin), as ``critical_graphs`` argues."""
+    if not is_connected(P):
+        return False
+    heads, tails = _dominated_pairs(P)
+    if heads & tails or any(P.degree(w) < dmin for w in _members(tails)):
+        return False
+    return dmin < 2 or _colorable(P.masks, dmin - 1, (1 << P.n) - 1) is None
+
+
+def _child_screen(P: Graph):
+    """The neighborhood screen of a connected parent P: a test on S that
+    is ``is_connected(G) and not dominated(G)`` for the child G = P + v
+    with N(v) = S, as ``critical_graphs`` argues."""
+    heads, tails = _dominated_pairs(P)
+    masks = P.masks
+    full = (1 << P.n) - 1
+
+    def keep(S: int) -> bool:
+        if S & heads != heads or S & tails:
+            return False
+        return all(S & ~masks[w] and masks[w] & ~S for w in _members(full ^ S))
+
+    return keep
 
 
 @lru_cache(maxsize=None)
 def critical_graphs(n: int) -> tuple[tuple[Graph, int], ...]:
     """All vertex-critical graphs on exactly n vertices, with chromatic number.
 
-    One route for every n >= 2: the extensions that
-    ``graphs_with_min_degree(n, d)`` deduplicates are screened first, and
-    ``is_critical`` runs on the first candidate of each class that passes:
+    One route for every n >= 2.  The census level is (n, d), where d is 0
+    for n <= 7 and 3 for n == 8: a critical graph with chromatic number k
+    has minimum degree >= k - 1 (otherwise a proper (k-1)-coloring of G - v
+    would extend across a low-degree v), the only 2-critical graph is a
+    single edge, and every 3-critical graph is an odd cycle -- so on 8
+    vertices only k >= 4 survives, forcing degree >= 3.
 
-    - connected: a critical graph on two or more vertices is connected;
-    - not ``_dominated``: a vertex whose neighborhood lies inside a
-      non-neighbor's never lowers the chromatic number when deleted.
+    A dominated pair (u, w) of a graph is two distinct non-neighbors with
+    N(u) inside N(w); u is its head and w its tail.  A critical graph has
+    none, since a coloring of G - u extends to u by the color of w.  For
+    G = P + v with N(v) = S, the pair (u, w) of P stays undominated in G
+    only when u is in S and w is not.
 
-    Both screens are isomorphism invariants, so the first candidate of each
-    surviving class is the one the unscreened deduplication keeps, and the
-    representatives come in its order with its labels.
+    The parents are the extensions that would make up ``_parents(n, d)``,
+    kept by ``_can_carry`` before they are deduplicated.  Each condition
+    holds for P = G - v whenever G is critical:
 
-    The degree bound d is 0 for n <= 7 and 3 for n == 8.  A critical graph
-    with chromatic number k has minimum degree >= k - 1 (otherwise a proper
-    (k-1)-coloring of G - v would extend across a low-degree v), the only
-    2-critical graph is a single edge, and every 3-critical graph is an odd
-    cycle -- so on 8 vertices only k >= 4 survives, forcing degree >= 3.
+    - P is connected: G has no cut vertex when k >= 3, and K1, the parent
+      of K2, is connected;
+    - no vertex of P is both a head and a tail, and every tail has degree
+      >= d: the tails stay outside S, so they keep their degree in G;
+    - P is not (d - 1)-colorable: chi(P) = k - 1, and k >= d + 1 on the
+      level.
+
+    Each parent's neighborhoods S are kept by ``_child_screen``, which on
+    a connected parent is exactly ``is_connected(G) and not dominated(G)``:
+    the heads lie in S and the tails outside it; no w outside S has S
+    inside N(w), which would dominate v (S empty, so G disconnected, is
+    such a case); and no u outside S has N(u) inside S, which v would
+    dominate.  ``is_critical`` runs on the first candidate of each class
+    that passes, so the census is the one the unscreened deduplication
+    filtered by ``is_critical`` gives, in its order and with its labels.
     """
     if not 1 <= n <= 8:
         raise ValueError("supported vertex counts are 1..8")
     if n == 1:
         return ((build_graph(1, []), 1),)
-    candidates = _extensions(n, 3 if n == 8 else 0)
-    screened = (G for G in candidates if is_connected(G) and not _dominated(G))
+    d = 3 if n == 8 else 0
+    d_parent = max(d - 1, 0)
+    parents = first_of_each_class(
+        P for P in _extensions(_parents(n - 1, d_parent), d_parent) if _can_carry(P, d)
+    )
     out = []
-    for G in first_of_each_class(screened):
+    for G in first_of_each_class(_extensions(parents, d, _child_screen)):
         critical, chi, _ = is_critical(G)
         if critical:
             out.append((G, chi))

@@ -6,8 +6,11 @@ The pairwise census route (an invariant bucket and a jointly refined
 isomorphism test per pair) is the package's former deduplication, kept as
 the cross-check of the certificate route; ``filtered_census`` is the
 package's former critical census, which filters whole deduplicated levels
-with ``is_critical``, kept as the cross-check of the screened one.  The
-dense Bland-rule Fraction tableau is the package's former covering-LP
+with ``is_critical``, kept as the cross-check of the screened one, and
+``_dominated`` is the package's former graph-level domination screen, kept
+as the reference of the census's bitmask screens; it reads the masks it
+was written on.  ``brute_is_critical`` rebuilds and colors every
+deletion.  The dense Bland-rule Fraction tableau is the package's former covering-LP
 solver, kept as the cross-check of the revised simplex.
 ``induced_subgraph`` is the paper's literal reading of a component's graph,
 the induced subgraph of the s-th expansion on its shadow set, kept as the
@@ -93,6 +96,13 @@ def brute_chromatic(G: Graph) -> int:
     while not brute_colorable(G, k):
         k += 1
     return k
+
+
+def brute_is_critical(G: Graph) -> tuple[bool, int, list[int]]:
+    """(critical, chi, failing vertices), one rebuilt deletion per vertex."""
+    chi = brute_chromatic(G)
+    failing = [v for v in range(G.n) if brute_chromatic(delete_vertex(G, v)) == chi]
+    return not failing, chi, failing
 
 
 def brute_independent_sets(G: Graph) -> list[frozenset[int]]:
@@ -348,6 +358,20 @@ def pairwise_dedupe(candidates) -> list[Graph]:
             bucket.append(G)
             reps.append(G)
     return reps
+
+
+def _dominated(G: Graph) -> bool:
+    """Whether some vertex u has N(u) inside N(w) for a non-neighbor w != u.
+
+    Such a u fails criticality: any coloring of G - u extends to G by
+    giving u the color of w.
+    """
+    full = (1 << G.n) - 1
+    for u, mu in enumerate(G.masks):
+        for w in range(G.n):
+            if (full ^ mu ^ 1 << u) >> w & 1 and not mu & ~G.masks[w]:
+                return True
+    return False
 
 
 def filtered_census(n: int) -> list[tuple[Graph, int]]:

@@ -27,10 +27,12 @@ from coverideal.graphs import (
     family,
     kneser_graph,
     mycielski,
+    replicate,
 )
 from oracles import (
     brute_b_fold,
     brute_chromatic,
+    brute_is_critical,
     certificate_is_valid,
     coloring_is_proper,
     delete_vertex,
@@ -114,20 +116,34 @@ class TestCriticality:
             assert (v in failing) == (dropped == chi)
 
 
-def _brute_failing(G):
-    """Vertices whose deletion leaves chi unchanged, by the brute-force oracle."""
-    chi = brute_chromatic(G)
-    rest = set(range(G.n))
-    return [v for v in range(G.n) if brute_chromatic(induced_subgraph(G, rest - {v})) == chi]
-
-
 class TestCriticalityAgainstOracle:
-    """Deletions are decided on bitmasks; the oracle rebuilds each induced subgraph."""
+    """Deletions are decided on bitmasks; the oracle rebuilds each deletion."""
 
     @given(graphs_with_components())
     def test_several_components(self, G):
-        failing = _brute_failing(G)
-        assert is_critical(G) == (not failing, brute_chromatic(G), failing)
+        assert is_critical(G) == brute_is_critical(G)
+
+    @given(graphs(min_n=1, max_n=4), st.data())
+    def test_replicated_graphs(self, G, data):
+        # Shadows of one vertex are closed twins, decided by one coloring.
+        copies = data.draw(
+            st.lists(st.integers(0, 3), min_size=G.n, max_size=G.n).filter(
+                lambda c: 0 < sum(c) <= 9
+            )
+        )
+        H = replicate(G, copies)
+        assert is_critical(H) == brute_is_critical(H)
+
+    def test_one_deletion_coloring_per_twin_class(self, monkeypatch):
+        G = family("complete", 300)
+        chromatic_number(G)
+        calls = []
+        colorable = coloring._colorable
+        monkeypatch.setattr(
+            coloring, "_colorable", lambda *args: calls.append(args[1]) or colorable(*args)
+        )
+        assert is_critical(G) == (True, 300, [])
+        assert calls == [299]
 
     @pytest.mark.parametrize(
         "G,want",
@@ -149,7 +165,7 @@ class TestCriticalityAgainstOracle:
     )
     def test_cases(self, G, want):
         assert is_critical(G) == want
-        assert _brute_failing(G) == want[2]
+        assert brute_is_critical(G) == want
 
 
 class TestFrozenWitnesses:

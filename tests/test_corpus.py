@@ -12,9 +12,12 @@ import pytest
 from conftest import graphs
 from hypothesis import given
 
+from coverideal import corpus
 from coverideal.coloring import is_critical
 from coverideal.corpus import (
-    _dominated,
+    _can_carry,
+    _child_screen,
+    _extensions,
     all_graphs,
     connected_graphs,
     critical_graphs,
@@ -27,6 +30,7 @@ from coverideal.graphs import (
     is_isomorphic,
 )
 from oracles import (
+    _dominated,
     brute_chromatic,
     delete_vertex,
     filtered_census,
@@ -162,6 +166,57 @@ class TestCensusAgainstFilteredRoute:
     )
     def test_eight_vertices(self):
         assert _census_rows(critical_graphs(8)) == _census_rows(filtered_census(8))
+
+
+def _census_degree(n):
+    return 3 if n == 8 else 0
+
+
+class TestCensusScreens:
+    """The parent screen and the neighborhood screen of ``critical_graphs``."""
+
+    @pytest.mark.parametrize("n,dmin", [(n, 0) for n in range(2, 8)] + [(8, 3)])
+    def test_neighborhood_screen_is_the_graph_level_screen(self, n, dmin):
+        for parent in graphs_with_min_degree(n - 1, max(dmin - 1, 0)):
+            if not is_connected(parent):
+                continue
+            keep = _child_screen(parent)
+            for G in _extensions([parent], dmin):
+                assert keep(G.masks[-1]) == (is_connected(G) and not _dominated(G))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_every_critical_graph_passes_both_screens(self, n):
+        # Necessity: G - v is a parent the census keeps, and N(v) a
+        # neighborhood it keeps on that parent.
+        for G, _ in critical_graphs(n):
+            for v in range(G.n):
+                P = delete_vertex(G, v)
+                assert _can_carry(P, _census_degree(n))
+                S = sum(1 << u - (u > v) for u in neighbors(G, v))
+                assert _child_screen(P)(S)
+
+    def test_eight_vertices_build_only_screened_candidates(self, monkeypatch):
+        levels = []
+        real_level = corpus.graphs_with_min_degree
+        monkeypatch.setattr(
+            corpus,
+            "graphs_with_min_degree",
+            lambda n, dmin: levels.append(n) or real_level(n, dmin),
+        )
+        handed = []
+        real_first = corpus.first_of_each_class
+
+        def first(candidates):
+            candidates = list(candidates)
+            handed.append(len(candidates))
+            return real_first(candidates)
+
+        monkeypatch.setattr(corpus, "first_of_each_class", first)
+        assert corpus.critical_graphs.__wrapped__(8) == critical_graphs(8)
+        assert max(levels) < 7
+        # 1,395 candidate parents and 1,796 children; the unscreened census
+        # deduplicated 2,449 parents and built 15,807 children.
+        assert handed[-2:] == [1395, 1796]
 
 
 def _dominated_vertices(G):

@@ -11,7 +11,6 @@ import pytest
 import coverideal
 from coverideal.cli import CLIError, exit_code
 
-EXTENDED = os.environ.get("COVERIDEAL_EXTENDED") == "1"
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -99,7 +98,6 @@ def test_witness_hunt_report():
     assert _hunt_digest(7) == "a256aee8bcf0178883eebf8096f66ada9981896b4f586e3689556d103bde5830"
 
 
-@pytest.mark.skipif(not EXTENDED, reason="set COVERIDEAL_EXTENDED=1 to run the heavy check")
 def test_witness_hunt_report_extended():
     # "34 of 34 critical graphs up to n=8 ...".
     assert _hunt_digest(8) == "3a3bd03fe828c8981f3da2754e23d76776817ebb11c935a7a6e0e87499b4cd3c"
