@@ -10,8 +10,8 @@ The default target is the triangle-free 19-vertex graph obtained by
 applying the cone-over-shadows construction to the 9-cycle; its fourth
 power is the heaviest case this package is designed to reach.  On a
 2-vCPU Xeon its generators (from about a million products) take about
-16 s, the decomposition about a minute and the verification of its
-25,392 components about two minutes.
+8 s, the decomposition 41-51 s and the verification of its 25,392
+components about a minute.
 
 Usage:
     python3 scripts/decompose_powers.py [--builtin mycielski-cycle:9]

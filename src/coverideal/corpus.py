@@ -45,7 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .coloring import _colorable, is_critical
+from .coloring import is_critical
 from .graphs import (
     Graph,
     _members,
@@ -159,9 +159,7 @@ def _can_carry(P: Graph, dmin: int) -> bool:
     if not is_connected(P):
         return False
     heads, tails = _dominated_pairs(P)
-    if heads & tails or any(P.degree(w) < dmin for w in _members(tails)):
-        return False
-    return dmin < 2 or _colorable(P.masks, dmin - 1, (1 << P.n) - 1) is None
+    return not heads & tails and all(P.degree(w) >= dmin for w in _members(tails))
 
 
 def _child_screen(P: Graph):
@@ -204,9 +202,7 @@ def critical_graphs(n: int) -> tuple[tuple[Graph, int], ...]:
     - P is connected: G has no cut vertex when k >= 3, and K1, the parent
       of K2, is connected;
     - no vertex of P is both a head and a tail, and every tail has degree
-      >= d: the tails stay outside S, so they keep their degree in G;
-    - P is not (d - 1)-colorable: chi(P) = k - 1, and k >= d + 1 on the
-      level.
+      >= d: the tails stay outside S, so they keep their degree in G.
 
     Each parent's neighborhoods S are kept by ``_child_screen``, which on
     a connected parent is exactly ``is_connected(G) and not dominated(G)``:

@@ -29,11 +29,14 @@ r one Python int ``above[v][r]`` holds the bits of the slots whose rank at
 v exceeds r (``_above`` builds them).  A row k divides a row c iff slot k
 lies in no ``above[v][c_v]``, so one OR over the variables screens c
 against every row at once.  ``_minimalize`` screens the candidates of
-each degree against the minimal rows of lower degree; the duality chain
+each degree against the minimal rows of lower degree.  The duality chain
 of ``irreducible_decomposition`` keeps its running generator set K this
-way, where whether a row lies inside an irreducible ideal is also a few
-ORs and ANDs.  Dead slots of K are renumbered away once they outnumber
-the live ones, so each int stays within about twice the size of K.
+way: whether a row lies inside an irreducible ideal is one OR over the
+support, and one pass over the fields of a raised row gives two bitsets,
+the rows that exceed it in two or more fields and the rows it divides,
+from which each of its images is screened with one AND.  Dead slots of K
+are renumbered away once they outnumber the live ones, so each int stays
+within about twice the size of K.
 
 Exponents may be any nonnegative ints; only the field width grows with
 them.
@@ -44,7 +47,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, compress, pairwise
-from operator import getitem, or_
+from operator import getitem
 from typing import NamedTuple
 
 from .coloring import _multicover
@@ -283,6 +286,8 @@ def contains_in_power(J: MonomialIdeal, d: int, m: Monomial) -> bool:
     m = tuple(m)
     if len(m) != J.nvars:
         raise ValueError("monomial length must equal the variable count")
+    if any(e < 0 for e in m):
+        raise ValueError("exponents must be nonnegative")
     if d < 1:
         raise ValueError("power must be >= 1")
     if not J.gens:
@@ -322,15 +327,18 @@ def _intersect(R: list, tops: list[int]) -> list[tuple[int, ...]]:
     intersection distributes over generator sums, and meeting one pure
     power x_v^e sends each row g to lcm(g, x_v^e); the minimal rows of the
     union of those images over the support of sig are the answer.  Rows
-    already inside the irreducible ideal are fixed and stay minimal: every
-    image is a proper multiple of a row of K, so an image dividing a passed
-    row would make that row non-minimal in K.  A raised row g is below sig
-    on the whole support, so its image c_v just writes sig_v at v, and a
-    live row h fails to divide c_v iff h exceeds g away from v or exceeds
-    sig_v at v.  Images of one g never divide each other, so all of g's
-    images are screened before any is added; a kept image then evicts the
-    rows added earlier in this step that it divides (a passed row cannot be
-    one, by K's minimality).
+    inside the irreducible ideal pass; a raised row g is below sig on the
+    whole support, so its image c_v writes sig_v at v.  Two facts make the
+    screens exact.  The live rows form an antichain, so none divides g, and
+    a live row divides c_v iff it exceeds g at v alone and is at most sig_v
+    there: one pass over g's fields gives ``twice``, the slots that exceed g
+    in two or more fields, and c_v is kept iff no live slot outside
+    ``twice`` is in ``above[v][g_v]`` and not in ``above[v][sig_v]``.  The
+    same pass gives ``over``, the live multiples of g.  Each was added
+    earlier in this step and lies inside sig, so it is a multiple of an
+    image of g, and that image is kept, as a live row dividing it would
+    divide the multiple too; so ``over`` is evicted before g's images are
+    added.  Images of one g never divide each other.
     """
     rows = [(0,) * len(tops)]
     alive = 1
@@ -344,37 +352,31 @@ def _intersect(R: list, tops: list[int]) -> list[tuple[int, ...]]:
         if not raised:
             continue
         alive &= inside
-        new = 0
         for slot in _members(raised):
             g = rows[slot]
             rows[slot] = None
-            terms = [above_u[r] for above_u, r in zip(above, g)]
-            before = list(accumulate(terms, or_, initial=0))
-            after = list(accumulate(reversed(terms), or_, initial=0))[::-1]
-            kept = [
-                v
-                for v in support
-                if not alive & ~(before[v] | after[v + 1] | above[v][sig[v]])
-            ]
-            for v in kept:
+            once = twice = 0
+            over = alive
+            for above_u, r in zip(above, g):
+                twice |= once & above_u[r]
+                once |= above_u[r]
+                if r:
+                    over &= above_u[r - 1]
+            if over:
+                alive &= ~over
+                for dead in _members(over):
+                    rows[dead] = None
+            solo = alive & ~twice
+            for v in support:
+                if solo & above[v][g[v]] & ~above[v][sig[v]]:
+                    continue
                 c = g[:v] + (sig[v],) + g[v + 1 :]
-                multiples = new & alive
-                for above_u, r in zip(above, c):
-                    if not multiples:
-                        break
-                    if r:
-                        multiples &= above_u[r - 1]
-                if multiples:
-                    alive &= ~multiples
-                    for dead in _members(multiples):
-                        rows[dead] = None
                 bit = 1 << len(rows)
                 rows.append(c)
                 for above_u, r in zip(above, c):
                     for k in range(r):
                         above_u[k] |= bit
                 alive |= bit
-                new |= bit
         if len(rows) > 2 * alive.bit_count():
             rows = [g for g in rows if g is not None]
             above = _above(rows, tops)

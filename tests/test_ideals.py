@@ -165,6 +165,8 @@ class TestMembership:
         J = cover_ideal(family("cycle", 5))
         with pytest.raises(ValueError):
             contains_in_power(J, 2, (1, 1))
+        with pytest.raises(ValueError, match="exponents must be nonnegative"):
+            contains_in_power(J, 1, (-1, 5, 5, 5, 5))
 
     def test_power_must_be_positive(self):
         J = cover_ideal(family("cycle", 5))
@@ -566,8 +568,9 @@ class TestBitSlicedChain:
 
 
 class TestClosedFormPerfectGraphs:
-    """The engine against the perfect-graph closed form on 17 to 45 vertices,
-    past brute-force size."""
+    """The engine against the perfect-graph closed form past brute-force
+    size: on 17 to 45 vertices, and at J(K2)^300, whose ranks need more
+    than a byte."""
 
     @pytest.mark.parametrize(
         "G, s, count",
@@ -578,8 +581,9 @@ class TestClosedFormPerfectGraphs:
             (family("complete", 17), 3, 4828),
             (_complete_multipartite(20, 20), 3, 1200),
             (_complete_multipartite(15, 15, 15), 2, 4725),
+            (family("complete", 2), 300, 300),
         ],
-        ids=["K20_s2", "K21_s2", "K11_11_s2", "K17_s3", "K20_20_s3", "K15_15_15_s2"],
+        ids=["K20_s2", "K21_s2", "K11_11_s2", "K17_s3", "K20_20_s3", "K15_15_15_s2", "K2_s300"],
     )
     def test_components_match_closed_form(self, G, s, count):
         I = power(cover_ideal(G), s)
