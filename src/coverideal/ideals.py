@@ -30,13 +30,19 @@ v exceeds r (``_above`` builds them).  A row k divides a row c iff slot k
 lies in no ``above[v][c_v]``, so one OR over the variables screens c
 against every row at once.  ``_minimalize`` screens the candidates of
 each degree against the minimal rows of lower degree.  The duality chain
-of ``irreducible_decomposition`` keeps its running generator set K this
-way: whether a row lies inside an irreducible ideal is one OR over the
-support, and one pass over the fields of a raised row gives two bitsets,
-the rows that exceed it in two or more fields and the rows it divides,
-from which each of its images is screened with one AND.  Dead slots of K
-are renumbered away once they outnumber the live ones, so each int stays
-within about twice the size of K.
+of ``_components`` keeps its running generator set K this way: whether a
+row lies inside an irreducible ideal is one OR over the support, and one
+pass over the fields of a raised row gives two bitsets, the rows that
+exceed it in two or more fields and the rows it divides, from which each
+of its images is screened with one AND.  A kept image differs from the
+raised row only in the raised field, so it sets its own bit only in that
+field's bitsets, and the images of one row join the bits they share with
+it in one OR per bitset.  Dead slots of K are renumbered away once they
+outnumber the live ones, so each int stays within about twice the size
+of K.  The chain's answer is memoized as sort keys (support, exponents)
+for the last ideal only: ``associated_primes`` reads the supports
+straight off them, and ``irreducible_decomposition`` builds its records
+from them.
 
 Exponents may be any nonnegative ints; only the field width grows with
 them.
@@ -304,10 +310,6 @@ class IrreducibleIdeal(NamedTuple):
     nvars: int
     exps: tuple[tuple[int, int], ...]
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.exps)
-
 
 def _intersect(R: list, tops: list[int]) -> list[tuple[int, ...]]:
     """Minimal rank rows of the intersection of the irreducible ideals whose
@@ -339,6 +341,12 @@ def _intersect(R: list, tops: list[int]) -> list[tuple[int, ...]]:
     image of g, and that image is kept, as a live row dividing it would
     divide the multiple too; so ``over`` is evicted before g's images are
     added.  Images of one g never divide each other.
+
+    Each kept image c_v differs from g only at v, so it sets its own bit
+    only in ``above[v][r]`` for g_v <= r < sig_v; the images of g share
+    every bit below g, which their joint bitset takes in one OR per
+    bitset, and ``alive`` in one more, after the last image is screened.
+    No screen of g's images reads those bits, as ``solo`` is fixed first.
     """
     rows = [(0,) * len(tops)]
     alive = 1
@@ -367,16 +375,21 @@ def _intersect(R: list, tops: list[int]) -> list[tuple[int, ...]]:
                 for dead in _members(over):
                     rows[dead] = None
             solo = alive & ~twice
+            new = 0
             for v in support:
                 if solo & above[v][g[v]] & ~above[v][sig[v]]:
                     continue
-                c = g[:v] + (sig[v],) + g[v + 1 :]
                 bit = 1 << len(rows)
-                rows.append(c)
-                for above_u, r in zip(above, c):
+                rows.append(g[:v] + (sig[v],) + g[v + 1 :])
+                above_v = above[v]
+                for k in range(g[v], sig[v]):
+                    above_v[k] |= bit
+                new |= bit
+            if new:
+                for above_u, r in zip(above, g):
                     for k in range(r):
-                        above_u[k] |= bit
-                alive |= bit
+                        above_u[k] |= new
+                alive |= new
         if len(rows) > 2 * alive.bit_count():
             rows = [g for g in rows if g is not None]
             above = _above(rows, tops)
@@ -385,24 +398,25 @@ def _intersect(R: list, tops: list[int]) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=1)
-def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
-    """Unique irredundant decomposition into irreducible monomial ideals.
+def _components(I: MonomialIdeal) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The irreducible components of I as sort keys (support, exponents),
+    in canonical order.
 
-    Computed by generator-wise duality and returned in canonical order.
-    With a the componentwise maximum over the minimal generators, each
-    generator m dualizes to the irreducible ideal with exponents
-    a_v + 1 - m_v on the support of m; the components of I are read off
-    the minimal generators of the intersection of those ideals by the
-    same exponent flip.  The intersection is built one generator at a
-    time, in the generators' lex order, from the unit ideal, keeping the
-    intermediate generator set K minimal.  K is held bit-sliced, so each
-    step's inside test and divisor screens are a few big-int operations
-    over all of K at once.
+    Computed by generator-wise duality.  With a the componentwise maximum
+    over the minimal generators, each generator m dualizes to the
+    irreducible ideal with exponents a_v + 1 - m_v on the support of m;
+    the components of I are read off the minimal generators of the
+    intersection of those ideals by the same exponent flip.  The
+    intersection is built one generator at a time, in the generators' lex
+    order, from the unit ideal, keeping the intermediate generator set K
+    minimal.  K is held bit-sliced, so each step's inside test and divisor
+    screens are a few big-int operations over all of K at once.
 
-    Memoized for the last ideal only (``cache_info()``, ``cache_clear()``):
+    This is the one decomposition memo, and it holds the last ideal only:
     every reuse is of the ideal just decomposed, as when
     ``persistence_check`` called with ascending s reads J^(s+1) again as
-    the next J^s.
+    the next J^s, or ``decompose`` lists the primes of the components it
+    has just built.
     """
     if not I.gens:
         raise ValueError("the zero ideal has no irreducible decomposition")
@@ -418,17 +432,30 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
     # component exponent.
     orders = [[0, *reversed([x for x in _distinct(col) if x])] for col in columns]
     ranks = _intersect(_rank_rows(columns, orders), [len(order) - 1 for order in orders])
-    # Decoded straight to sort keys (support, exponents), so each component
-    # is built once, in canonical order.
-    keys = sorted(
-        (tuple(compress(range(n), c)), tuple(filter(None, map(getitem, orders, c)))) for c in ranks
+    return tuple(
+        sorted(
+            (tuple(compress(range(n), c)), tuple(filter(None, map(getitem, orders, c))))
+            for c in ranks
+        )
     )
-    return tuple(IrreducibleIdeal(n, tuple(zip(*key))) for key in keys)
+
+
+def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
+    """Unique irredundant decomposition into irreducible monomial ideals,
+    in canonical order (by support, then exponents).
+
+    Each call builds its records from the components memoized by
+    ``_components``, which runs the duality chain once per ideal.
+    """
+    n = I.nvars
+    return tuple(IrreducibleIdeal(n, tuple(zip(*key))) for key in _components(I))
 
 
 def associated_primes(I: MonomialIdeal) -> list[frozenset[int]]:
     """Supports of the irreducible components, deduplicated and sorted.
 
-    The components come sorted by support, so first occurrences are in order.
+    Read straight off the memoized component keys, which come sorted by
+    support, so first occurrences are in order; no component record is
+    built.
     """
-    return list(dict.fromkeys(frozenset(c.support) for c in irreducible_decomposition(I)))
+    return [frozenset(p) for p in dict.fromkeys(p for p, _ in _components(I))]

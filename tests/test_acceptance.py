@@ -16,6 +16,7 @@ from itertools import combinations
 
 import pytest
 
+from coverideal import ideals
 from coverideal.cli import main
 from coverideal.coloring import (
     b_fold_chromatic,
@@ -258,7 +259,7 @@ def test_criterion_7_extended_persistence_to_8_vertices():
     corpus = [G for n in range(2, 9) for G in connected_graphs(n)]
     assert len(corpus) == 12112
     assert all(persistence_check(G, s) == (True, []) for G in corpus for s in (1, 2, 3))
-    assert irreducible_decomposition.cache_info().currsize == 1
+    assert ideals._components.cache_info().currsize == 1
     elapsed = time.perf_counter() - start
     assert elapsed < 1800
     print(

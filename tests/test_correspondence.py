@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import graphs, graphs_with_edges
-from coverideal import correspondence
+from coverideal import correspondence, ideals
 from coverideal.coloring import (
     b_fold_chromatic,
     chromatic_number,
@@ -253,11 +253,11 @@ class TestPersistence:
     def test_sweep_memo_holds_the_last_power(self):
         # Checks with ascending s find each J^s decomposed by the call
         # before, so each of J..J^4 is decomposed once per graph.
-        irreducible_decomposition.cache_clear()
+        ideals._components.cache_clear()
         for G in (family("cycle", 5), family("cycle", 7)):
             for s in (1, 2, 3):
                 persistence_check(G, s)
-        info = irreducible_decomposition.cache_info()
+        info = ideals._components.cache_info()
         assert (info.hits, info.misses, info.currsize) == (4, 8, 1)
 
     def test_ascending_checks_reuse_the_last_power(self, multiply_calls):
@@ -266,10 +266,10 @@ class TestPersistence:
         # held by power and by the decomposition memo: one product a call.
         C5 = family("cycle", 5)
         _held_power.cache_clear()
-        irreducible_decomposition.cache_clear()
+        ideals._components.cache_clear()
         for s in (1, 2, 3):
             assert persistence_check(C5, s) == (True, [])
-        info = irreducible_decomposition.cache_info()
+        info = ideals._components.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 4, 1)
         assert len(multiply_calls) == 3
 

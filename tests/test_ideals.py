@@ -263,16 +263,25 @@ class TestDecomposition:
     def test_deterministic_across_cache_state(self):
         I = monomial_ideal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1)])
         first = irreducible_decomposition(I)
-        irreducible_decomposition.cache_clear()
+        ideals._components.cache_clear()
         assert irreducible_decomposition(I) == first
 
     def test_equal_ideal_is_a_cache_hit(self):
         I = power(cover_ideal(family("cycle", 7)), 2)
-        first = irreducible_decomposition(I)
-        hits = irreducible_decomposition.cache_info().hits
-        again = irreducible_decomposition(monomial_ideal(I.nvars, I.gens))
+        first = ideals._components(I)
+        hits = ideals._components.cache_info().hits
+        again = ideals._components(monomial_ideal(I.nvars, I.gens))
         assert again is first
-        assert irreducible_decomposition.cache_info().hits == hits + 1
+        assert ideals._components.cache_info().hits == hits + 1
+
+    def test_records_then_primes_run_one_chain(self):
+        # decompose asks for the records and then the primes of one ideal.
+        I = power(cover_ideal(family("cycle", 5)), 2)
+        ideals._components.cache_clear()
+        irreducible_decomposition(I)
+        associated_primes(I)
+        info = ideals._components.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
     def test_components_canonically_sorted(self):
         comps = irreducible_decomposition(power(cover_ideal(family("cycle", 5)), 2))
@@ -330,6 +339,21 @@ class TestAssociatedPrimes:
     def test_sorted_output(self):
         primes = associated_primes(power(cover_ideal(family("complete", 4)), 2))
         assert primes == sorted(primes, key=lambda s: sorted(s))
+
+    @given(st.one_of(squarefree_ideals(), monomial_ideals(max_vars=4, max_gens=5, max_exp=3)))
+    def test_supports_of_both_engines_in_order(self, ideal):
+        I = monomial_ideal(*ideal)
+        if I.gens == ((0,) * I.nvars,):
+            with pytest.raises(ValueError):
+                associated_primes(I)
+            return
+
+        def supports(comps):
+            return list(dict.fromkeys(frozenset(v for v, _ in c.exps) for c in comps))
+
+        primes = associated_primes(I)
+        assert primes == supports(irreducible_decomposition(I))
+        assert primes == supports(splitting_decomposition(I))
 
 
 class TestDecompositionEngines:
@@ -453,7 +477,7 @@ class TestPackedKernel:
     def test_small_random_ideals_match_oracles(self, seed):
         import random
 
-        irreducible_decomposition.cache_clear()
+        ideals._components.cache_clear()
         rng = random.Random(seed)
         for _ in range(20):
             rows = [tuple(rng.randint(0, 3) for _ in range(4)) for _ in range(12)]
@@ -463,7 +487,7 @@ class TestPackedKernel:
             J = monomial_ideal(4, rows[:4])
             assert multiply(I, J).gens == brute_product_gens(I.gens, J.gens)
             assert irreducible_decomposition(I) == splitting_decomposition(I)
-        irreducible_decomposition.cache_clear()
+        ideals._components.cache_clear()
 
     def test_ring_without_variables(self):
         # The unit ideal is the one nonzero ideal of the ring with no variables.
@@ -534,6 +558,21 @@ class TestBitSlicedChain:
         )
         assert irreducible_decomposition(I) == splitting_decomposition(I) == expected
 
+    def test_images_of_one_row_screen_a_later_row(self):
+        # The duals are (y, z) and then (x, y^2, z^2), which raises both
+        # rows of K = {y, z}.  y keeps all three images x*y, y^2 and y*z^2.
+        # Then z, screened against them: z divides y*z^2 and evicts it,
+        # z's image y^2*z is divided by y^2, and x*z and z^2 are kept.
+        # K ends as {x*y, y^2, x*z, z^2}.
+        I = monomial_ideal(3, [(0, 2, 2), (1, 1, 1)])
+        expected = (
+            _irreducible(3, x=1, y=2),
+            _irreducible(3, x=1, z=2),
+            _irreducible(3, y=1),
+            _irreducible(3, z=1),
+        )
+        assert irreducible_decomposition(I) == splitting_decomposition(I) == expected
+
     def test_step_raising_thousands_of_rows(self, monkeypatch):
         # A new variable x_0 in front of J(K_{15,15,15})^2: the pure power
         # x_0 is the last generator in lex order, and it raises every one
@@ -561,9 +600,9 @@ class TestBitSlicedChain:
         above = ideals._above
         I = power(cover_ideal(family("cycle", 5)), 3)
         monkeypatch.setattr(ideals, "_above", lambda *a: calls.append(a) or above(*a))
-        irreducible_decomposition.cache_clear()
+        ideals._components.cache_clear()
         assert irreducible_decomposition(I) == splitting_decomposition(I)
-        irreducible_decomposition.cache_clear()
+        ideals._components.cache_clear()
         assert len(calls) == 2
 
 
@@ -592,5 +631,5 @@ class TestClosedFormPerfectGraphs:
         assert len(comps) == count
         assert set(comps) == expected
         assert associated_primes(I) == sorted(
-            {frozenset(c.support) for c in expected}, key=sorted
+            {frozenset(v for v, _ in c.exps) for c in expected}, key=sorted
         )

@@ -71,8 +71,41 @@ no associated prime of J^s was missing from J^(s+1)
 """
 
 
-def _sweep_report(max_n):
-    proc = run_script("persistence_sweep.py", "--max-n", str(max_n), "--s-max", "2")
+SWEEP_6_4 = """\
+n=2: cumulative 1 graphs, 4 checks, 0 findings
+n=3: cumulative 3 graphs, 12 checks, 0 findings
+n=4: cumulative 9 graphs, 36 checks, 0 findings
+n=5: cumulative 30 graphs, 120 checks, 0 findings
+n=6: cumulative 142 graphs, 568 checks, 0 findings
+cycle:5: checked s=1..4
+cycle:7: checked s=1..4
+cycle:9: checked s=1..4
+
+total: 142 connected graphs, 580 persistence checks
+no associated prime of J^s was missing from J^(s+1)
+"""
+
+SWEEP_8_2 = """\
+n=2: cumulative 1 graphs, 2 checks, 0 findings
+n=3: cumulative 3 graphs, 6 checks, 0 findings
+n=4: cumulative 9 graphs, 18 checks, 0 findings
+n=5: cumulative 30 graphs, 60 checks, 0 findings
+n=6: cumulative 142 graphs, 284 checks, 0 findings
+n=7: cumulative 995 graphs, 1990 checks, 0 findings
+n=8: cumulative 12112 graphs, 24224 checks, 0 findings
+cycle:5: checked s=1..2
+cycle:7: checked s=1..2
+cycle:9: checked s=1..2
+
+total: 12112 connected graphs, 24230 persistence checks
+no associated prime of J^s was missing from J^(s+1)
+"""
+
+EXTENDED = os.environ.get("COVERIDEAL_EXTENDED") == "1"
+
+
+def _sweep_report(max_n, s_max=2):
+    proc = run_script("persistence_sweep.py", "--max-n", str(max_n), "--s-max", str(s_max))
     assert proc.returncode == 0
     out = re.sub(r" \(\d+\.\ds\)$", "", proc.stdout, flags=re.M)
     return re.sub(r", \d+\.\ds$", "", out, flags=re.M)
@@ -84,6 +117,18 @@ def test_persistence_sweep_report():
 
 def test_persistence_sweep_report_7_vertices():
     assert _sweep_report(7) == SWEEP_7_2
+
+
+def test_persistence_sweep_report_to_fourth_power():
+    # The graphs and powers of the benchmark's sweep workload.
+    assert _sweep_report(6, 4) == SWEEP_6_4
+
+
+@pytest.mark.skipif(
+    not EXTENDED, reason="set COVERIDEAL_EXTENDED=1 to run the 8-vertex sweep (about 40 s)"
+)
+def test_persistence_sweep_report_8_vertices():
+    assert _sweep_report(8) == SWEEP_8_2
 
 
 def _hunt_digest(max_n):
