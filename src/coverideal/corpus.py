@@ -43,11 +43,13 @@ graph-level reference of the neighborhood screen.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .coloring import is_critical
 from .graphs import (
     Graph,
+    _classes,
+    _isomorphisms,
     _members,
     automorphisms,
     build_graph,
@@ -74,7 +76,7 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(G for G in all_graphs(n) if is_connected(G))
 
 
-def _extensions(parents, dmin: int, screen=None):
+def _extensions(parents, dmin: int, screen=None, certs=None):
     """Orbit-pruned extensions of the given parents, in census order.
 
     Every graph on n vertices with minimum degree >= dmin extends a
@@ -88,9 +90,9 @@ def _extensions(parents, dmin: int, screen=None):
     ``screen(parent)``, when given, returns a test of S as a bitmask.  It
     must be an Aut(parent)-invariant, so an S it rejects never enters the
     orbit bookkeeping, and the automorphisms are listed only once a first S
-    of the parent passes.
+    of the parent passes, from the parent's certificate in ``certs`` if given.
     """
-    for parent in parents:
+    for parent, cert in zip(parents, certs or repeat(None)):
         new = 1 << parent.n
         deficient = [v for v in range(parent.n) if parent.degree(v) < dmin]
         optional = [v for v in range(parent.n) if parent.degree(v) >= dmin]
@@ -106,7 +108,7 @@ def _extensions(parents, dmin: int, screen=None):
                 if bits in seen or keep and not keep(S):
                     continue
                 if auts is None:
-                    auts = automorphisms(parent)
+                    auts = list(_isomorphisms(cert, cert)) if cert else automorphisms(parent)
                 seen.update(sum(1 << p[v] for v in extra) for p in auts)
                 masks = [m | new if S >> v & 1 else m for v, m in enumerate(parent.masks)]
                 yield Graph(parent.n + 1, (*masks, S))
@@ -219,11 +221,11 @@ def critical_graphs(n: int) -> tuple[tuple[Graph, int], ...]:
         return ((build_graph(1, []), 1),)
     d = 3 if n == 8 else 0
     d_parent = max(d - 1, 0)
-    parents = first_of_each_class(
+    parents, certs = _classes(
         P for P in _extensions(_parents(n - 1, d_parent), d_parent) if _can_carry(P, d)
     )
     out = []
-    for G in first_of_each_class(_extensions(parents, d, _child_screen)):
+    for G in first_of_each_class(_extensions(parents, d, _child_screen, certs)):
         critical, chi, _ = is_critical(G)
         if critical:
             out.append((G, chi))

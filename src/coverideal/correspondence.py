@@ -100,10 +100,9 @@ def persistence_check(G: Graph, s: int) -> tuple[bool, list[frozenset[int]]]:
     if s < 1:
         raise ValueError("power must be >= 1")
     J = cover_ideal(G)
-    # J^s before J^(s+1): called with ascending s, ``power`` and the
-    # one-ideal component memo behind ``associated_primes`` still hold the
-    # previous call's J^(s+1) here, so it is neither built nor decomposed
-    # again.
+    # J^s before J^(s+1): called with ascending s, the one-slot memos of
+    # ``cover_ideal``, ``power`` and ``associated_primes`` still hold G's J
+    # and the previous call's J^(s+1), so neither is built or decomposed again.
     ass_s = associated_primes(power(J, s))
     kept = set(associated_primes(power(J, s + 1)))
     missing = [p for p in ass_s if p not in kept]

@@ -332,12 +332,18 @@ def first_of_each_class(graphs) -> list[Graph]:
     A graph's certificate key picks its bucket, and the graph is matched
     only against the kept graphs there; only their certificates are held.
     """
+    return _classes(graphs)[0]
+
+
+def _classes(graphs) -> tuple[list[Graph], list[_Certificate]]:
+    """``first_of_each_class``, and the certificates of the kept graphs."""
     buckets: dict[int, list[_Certificate]] = {}
-    reps: list[Graph] = []
+    reps, certs = [], []
     for G in graphs:
         cert = _certificate(G)
         bucket = buckets.setdefault(cert.key, [])
         if not any(next(_isomorphisms(cert, c), None) is not None for c in bucket):
             bucket.append(cert)
             reps.append(G)
-    return reps
+            certs.append(cert)
+    return reps, certs

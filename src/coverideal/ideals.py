@@ -15,7 +15,7 @@ Rank rows.  Every exponent matrix is rank-compressed column by column
 before it is minimalized or dualized: an exponent is replaced by its index
 among the sorted distinct values its column takes in that step (the
 distinct generators in ``monomial_ideal`` and products in ``multiply``,
-zero and the dual exponents in ``irreducible_decomposition``).  Ranks
+zero and the dual exponents in ``_components``).  Ranks
 preserve every ``<=`` and ``max`` within a column, so divisibility and
 the row-lex order read the same on ranks as on exponents, and the rank
 sum is a degree under which a proper divisor always has the smaller
@@ -29,20 +29,14 @@ r one Python int ``above[v][r]`` holds the bits of the slots whose rank at
 v exceeds r (``_above`` builds them).  A row k divides a row c iff slot k
 lies in no ``above[v][c_v]``, so one OR over the variables screens c
 against every row at once.  ``_minimalize`` screens the candidates of
-each degree against the minimal rows of lower degree.  The duality chain
-of ``_components`` keeps its running generator set K this way: whether a
-row lies inside an irreducible ideal is one OR over the support, and one
-pass over the fields of a raised row gives two bitsets, the rows that
-exceed it in two or more fields and the rows it divides, from which each
-of its images is screened with one AND.  A kept image differs from the
-raised row only in the raised field, so it sets its own bit only in that
-field's bitsets, and the images of one row join the bits they share with
-it in one OR per bitset.  Dead slots of K are renumbered away once they
-outnumber the live ones, so each int stays within about twice the size
-of K.  The chain's answer is memoized as sort keys (support, exponents)
-for the last ideal only: ``associated_primes`` reads the supports
-straight off them, and ``irreducible_decomposition`` builds its records
-from them.
+each degree against the minimal rows of lower degree, and the duality
+chain (``_intersect``) holds its running generator set K this way.
+
+Memos.  ``_components`` holds the chain's answer for the last ideal only:
+each column's rank order and the components' rank rows.
+``associated_primes`` reads the supports off the rank rows, and
+``irreducible_decomposition`` builds and sorts its records from both.
+``cover_ideal`` holds the last graph's ideal and ``power`` the last power.
 
 Exponents may be any nonnegative ints; only the field width grows with
 them.
@@ -75,10 +69,6 @@ __all__ = [
 Monomial = tuple[int, ...]
 
 
-def _max_exponent(gens) -> int:
-    return max((max(g, default=0) for g in gens), default=0)
-
-
 def _width(top: int) -> int:
     """Bytes per field of packed rows whose values reach top."""
     return max(1, (top.bit_length() + 7) // 8)
@@ -95,14 +85,6 @@ def _unpack(row: int, nvars: int, k: int) -> Monomial:
     if k == 1:
         return tuple(b)
     return tuple(int.from_bytes(b[i : i + k], "big") for i in range(0, len(b), k))
-
-
-def _columns(rows: list[int], nvars: int, k: int) -> list:
-    """The columns of packed rows: byte strings for one-byte fields, else tuples."""
-    if k == 1:
-        buf = b"".join([r.to_bytes(nvars, "big") for r in rows])
-        return [buf[v::nvars] for v in range(nvars)]
-    return list(zip(*(_unpack(r, nvars, k) for r in rows)))
 
 
 def _distinct(col) -> list[int]:
@@ -175,7 +157,11 @@ def _minimalize(rows: list[int], nvars: int, k: int) -> list[int]:
     in common with the candidate before; the top set bit of the XOR of
     their packed rows tells how many fields that is.
     """
-    columns = _columns(rows, nvars, k)
+    if k == 1:
+        buf = b"".join([r.to_bytes(nvars, "big") for r in rows])
+        columns = [buf[v::nvars] for v in range(nvars)]
+    else:
+        columns = list(zip(*(_unpack(r, nvars, k) for r in rows)))
     orders = [_distinct(col) for col in columns]
     ranks = _rank_rows(columns, orders)
     del columns
@@ -226,11 +212,12 @@ def monomial_ideal(nvars: int, gens) -> MonomialIdeal:
         return MonomialIdeal(nvars, ())
     if not nvars:
         return MonomialIdeal(0, ((),))  # the unit ideal of the ring with no variables
-    k = _width(_max_exponent(gens))
+    k = _width(max(map(max, gens)))
     rows = sorted({_pack(g, k) for g in gens})
     return MonomialIdeal(nvars, tuple(_unpack(r, nvars, k) for r in _minimalize(rows, nvars, k)))
 
 
+@lru_cache(maxsize=1)
 def cover_ideal(G: Graph) -> MonomialIdeal:
     """Squarefree ideal generated by the minimal vertex covers of G."""
     if G.n == 0 or G.m == 0:
@@ -251,7 +238,7 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         return MonomialIdeal(nvars, ())
     if not nvars:
         return I  # the unit ideal of the ring with no variables
-    k = _width(_max_exponent(I.gens) + _max_exponent(J.gens))
+    k = _width(max(map(max, I.gens)) + max(map(max, J.gens)))
     B = [_pack(g, k) for g in J.gens]
     rows = sorted({a + b for a in (_pack(g, k) for g in I.gens) for b in B})
     return MonomialIdeal(nvars, tuple(_unpack(r, nvars, k) for r in _minimalize(rows, nvars, k)))
@@ -398,9 +385,10 @@ def _intersect(R: list, tops: list[int]) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=1)
-def _components(I: MonomialIdeal) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The irreducible components of I as sort keys (support, exponents),
-    in canonical order.
+def _components(I: MonomialIdeal) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """The irreducible components of I as the duality chain leaves them:
+    ``orders[v]`` and the chain's rank rows, where a row c has support the
+    v with c_v > 0 and exponent ``orders[v][c_v]`` there.
 
     Computed by generator-wise duality.  With a the componentwise maximum
     over the minimal generators, each generator m dualizes to the
@@ -422,40 +410,41 @@ def _components(I: MonomialIdeal) -> tuple[tuple[tuple[int, ...], tuple[int, ...
         raise ValueError("the zero ideal has no irreducible decomposition")
     if any(sum(g) == 0 for g in I.gens):
         raise ValueError("the unit ideal has no irreducible decomposition")
-    n = I.nvars
-    k = _width(_max_exponent(I.gens))
-    columns = _columns([_pack(g, k) for g in I.gens], n, k)
+    try:
+        columns = [bytes(col) for col in zip(*I.gens)]
+    except ValueError:  # an exponent past one byte
+        columns = list(zip(*I.gens))
     # Every row along the chain is an lcm of dual pure powers, so its
     # exponents are zero or dual exponents a_v + 1 - m_v, which fall as m_v
     # rises: zero and then the generator exponents in descending order rank
     # the whole chain once, and orders[v][r] reads rank r back as the
     # component exponent.
     orders = [[0, *reversed([x for x in _distinct(col) if x])] for col in columns]
-    ranks = _intersect(_rank_rows(columns, orders), [len(order) - 1 for order in orders])
-    return tuple(
-        sorted(
-            (tuple(compress(range(n), c)), tuple(filter(None, map(getitem, orders, c))))
-            for c in ranks
-        )
-    )
+    return orders, _intersect(_rank_rows(columns, orders), [len(order) - 1 for order in orders])
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
     """Unique irredundant decomposition into irreducible monomial ideals,
     in canonical order (by support, then exponents).
 
-    Each call builds its records from the components memoized by
-    ``_components``, which runs the duality chain once per ideal.
+    Each call builds and sorts its records from the chain's answer
+    memoized by ``_components``, which runs the chain once per ideal.
     """
     n = I.nvars
-    return tuple(IrreducibleIdeal(n, tuple(zip(*key))) for key in _components(I))
+    orders, ranks = _components(I)
+    keys = sorted(
+        (tuple(compress(range(n), c)), tuple(filter(None, map(getitem, orders, c))))
+        for c in ranks
+    )
+    return tuple(IrreducibleIdeal(n, tuple(zip(*key))) for key in keys)
 
 
 def associated_primes(I: MonomialIdeal) -> list[frozenset[int]]:
     """Supports of the irreducible components, deduplicated and sorted.
 
-    Read straight off the memoized component keys, which come sorted by
-    support, so first occurrences are in order; no component record is
-    built.
+    Read straight off the memoized rank rows: a support is where a row is
+    nonzero, and no exponent or component record is built.
     """
-    return [frozenset(p) for p in dict.fromkeys(p for p, _ in _components(I))]
+    vertices = range(I.nvars)
+    _, ranks = _components(I)
+    return [frozenset(p) for p in sorted({tuple(compress(vertices, c)) for c in ranks})]

@@ -639,6 +639,21 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == run_module(*args).stdout
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (),
+            ("decompose", "--builtin", "mycielski-cycle:5", "--power", "2", "--json"),
+            ("verify", "persistence", "--builtin", "cycle:5", "--power", "2", "--json"),
+        ],
+        ids=["import", "decompose", "verify"],
+    )
+    def test_runs_without_the_census(self, args):
+        # The package loads corpus on first use of a census name only.
+        proc = run_module(*args, block=("coverideal.corpus",))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == run_module(*args).stdout
+
     def test_chi_f_loads_numpy(self):
         proc = run_module("invariants", "--builtin", "cycle:5", "--json")
         assert proc.returncode == 0

@@ -13,6 +13,7 @@ from conftest import graphs
 from hypothesis import given
 
 from coverideal import corpus
+from coverideal import graphs as graphs_module
 from coverideal.coloring import is_critical
 from coverideal.corpus import (
     _can_carry,
@@ -204,19 +205,39 @@ class TestCensusScreens:
             lambda n, dmin: levels.append(n) or real_level(n, dmin),
         )
         handed = []
-        real_first = corpus.first_of_each_class
 
-        def first(candidates):
-            candidates = list(candidates)
-            handed.append(len(candidates))
-            return real_first(candidates)
+        def counted(real):
+            def dedupe(candidates):
+                candidates = list(candidates)
+                handed.append(len(candidates))
+                return real(candidates)
 
-        monkeypatch.setattr(corpus, "first_of_each_class", first)
+            return dedupe
+
+        # The parents are deduplicated with their certificates kept.
+        monkeypatch.setattr(corpus, "_classes", counted(corpus._classes))
+        monkeypatch.setattr(corpus, "first_of_each_class", counted(corpus.first_of_each_class))
         assert corpus.critical_graphs.__wrapped__(8) == critical_graphs(8)
         assert max(levels) < 7
         # 1,398 candidate parents and 1,799 children; the unscreened census
         # deduplicated 2,449 parents and built 15,807 children.
         assert handed[-2:] == [1398, 1799]
+
+    def test_eight_vertices_refine_each_graph_once(self, monkeypatch):
+        # The 280 screened parents that reach the orbit bookkeeping list
+        # their automorphisms from the certificate kept when they were
+        # deduplicated, not from a second refinement.
+        critical_graphs(8)
+        refined = []
+
+        def certificate(G):
+            refined.append(G)
+            return real(G)
+
+        real = graphs_module._certificate
+        monkeypatch.setattr(graphs_module, "_certificate", certificate)
+        assert corpus.critical_graphs.__wrapped__(8) == critical_graphs(8)
+        assert len(refined) == len(set(refined)) == 3319
 
 
 def _dominated_vertices(G):

@@ -273,6 +273,16 @@ class TestPersistence:
         assert (info.hits, info.misses, info.currsize) == (2, 4, 1)
         assert len(multiply_calls) == 3
 
+    def test_checks_of_one_graph_enumerate_its_covers_once(self, monkeypatch):
+        covers = []
+        real = ideals.minimal_vertex_covers
+        monkeypatch.setattr(ideals, "minimal_vertex_covers", lambda G: covers.append(G) or real(G))
+        ideals.cover_ideal.cache_clear()
+        C5 = family("cycle", 5)
+        for s in range(1, 5):
+            assert persistence_check(C5, s) == (True, [])
+        assert covers == [C5]
+
     def test_sweep_mycielski_C9(self):
         assert persistence_check(mycielski(family("cycle", 9)), 1) == (True, [])
 

@@ -283,6 +283,14 @@ class TestDecomposition:
         info = ideals._components.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
+    @given(monomial_ideals(max_vars=4, max_gens=5, max_exp=3), st.sampled_from([1, 255, 256]))
+    def test_primes_are_the_component_supports(self, ideal, scale):
+        # Scaled by 255 or 256, exponents pass one byte: the tuple columns.
+        nv, gens = ideal
+        I = monomial_ideal(nv, [tuple(scale * e for e in g) for g in gens])
+        supports = [frozenset(v for v, _ in c.exps) for c in irreducible_decomposition(I)]
+        assert associated_primes(I) == list(dict.fromkeys(supports))
+
     def test_components_canonically_sorted(self):
         comps = irreducible_decomposition(power(cover_ideal(family("cycle", 5)), 2))
         keys = [component_key(c) for c in comps]
