@@ -26,6 +26,7 @@ from .coloring import (
     is_critical,
 )
 from .correspondence import (
+    component_to_Y,
     expansion_witnesses,
     persistence_check,
     technical_lemma_check,
@@ -295,7 +296,7 @@ def _cmd_verify(args):
             "components": [
                 {
                     "component": _component_strs(r.component),
-                    "Y": sorted(r.Y),
+                    "Y": sorted(component_to_Y(r.component, args.power)),
                     "chi": r.chi,
                     "verified": r.verified_critical,
                 }

@@ -4,42 +4,27 @@ Colorability has one search, ``_colorable``, on a graph's neighborhood
 bitmasks ``G.masks`` restricted to a vertex mask, so a vertex deletion in
 the criticality test is one cleared bit, not a rebuilt graph.
 ``chromatic_number`` and ``fractional_value`` are memoized by graph.
+Each invariant returns (value, witness), and the witness is plain data
+that repeats neither the value nor the arguments: the color of each
+vertex, the b colors of each vertex, or the weighted independent sets.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .graphs import Graph, _component, _members, maximal_independent_sets
 from . import lp
 from .lp import solve_cover_lp
 
 __all__ = [
-    "Coloring",
-    "FractionalCertificate",
     "chromatic_number",
     "is_critical",
     "b_fold_chromatic",
     "fractional_value",
     "classify_chi_f_window",
 ]
-
-class Coloring(NamedTuple):
-    """A b-fold coloring: every vertex holds exactly b colors below colors_used."""
-
-    b: int
-    colors_used: int
-    assignment: tuple[frozenset[int], ...]
-
-
-class FractionalCertificate(NamedTuple):
-    """Optimal fractional cover: positive weights on maximal independent sets."""
-
-    weights: tuple[tuple[frozenset[int], Fraction], ...]
-    total: Fraction
-
 
 def _twin_prev(masks: list[int]) -> list[int]:
     """Chain vertices with equal closed neighborhoods (mutually adjacent twins)."""
@@ -141,8 +126,9 @@ def _colorable(masks: tuple[int, ...], k: int, alive: int) -> list[int] | None:
 
 
 @lru_cache(maxsize=None)
-def chromatic_number(G: Graph) -> tuple[int, Coloring | None]:
-    """Exact chromatic number with a deterministic witness.
+def chromatic_number(G: Graph) -> tuple[int, tuple[int, ...] | None]:
+    """Exact chromatic number, and a deterministic witness: the color of
+    vertex v at index v, colors 0..chi-1.
 
     Iterative deepening on k starting from a greedy clique lower bound;
     each k is decided by the exact backtracking in :func:`_colorable`.
@@ -153,12 +139,7 @@ def chromatic_number(G: Graph) -> tuple[int, Coloring | None]:
     for k in range(lower, G.n + 1):
         colors = _colorable(G.masks, k, (1 << G.n) - 1)
         if colors is not None:
-            witness = Coloring(
-                b=1,
-                colors_used=k,
-                assignment=tuple(frozenset([c]) for c in colors),
-            )
-            return k, witness
+            return k, tuple(colors)
     raise RuntimeError("unreachable: n colors always suffice")
 
 
@@ -229,7 +210,7 @@ def _multicover(sets, need, budget: int) -> list[int] | None:
     return dfs(tuple(need), budget)
 
 
-def _coloring_from_sets(G: Graph, b: int, chosen, sets) -> Coloring:
+def _coloring_from_sets(G: Graph, b: int, chosen, sets):
     chosen = sorted(chosen)
     assignment = []
     for v in range(G.n):
@@ -237,11 +218,12 @@ def _coloring_from_sets(G: Graph, b: int, chosen, sets) -> Coloring:
         if len(cols) < b:
             raise RuntimeError("multicover witness fails to cover a vertex")
         assignment.append(frozenset(cols))
-    return Coloring(b=b, colors_used=len(chosen), assignment=tuple(assignment))
+    return len(chosen), tuple(assignment)
 
 
-def b_fold_chromatic(G: Graph, b: int) -> tuple[int, Coloring]:
-    """Exact b-fold chromatic number with a witness.
+def b_fold_chromatic(G: Graph, b: int) -> tuple[int, tuple[frozenset[int], ...]]:
+    """Exact b-fold chromatic number d, and a witness: the frozenset of
+    vertex v's b colors at index v, each below d.
 
     Minimizes the size of a multiset of maximal independent sets covering
     every vertex at least b times (any optimal b-fold coloring can be put
@@ -261,12 +243,13 @@ def b_fold_chromatic(G: Graph, b: int) -> tuple[int, Coloring]:
         d = max(d, _ceil_frac(b * value.numerator, value.denominator))
     while (chosen := _multicover(sets, [b] * G.n, d)) is None:
         d += 1
-    return len(chosen), _coloring_from_sets(G, b, chosen, sets)
+    return _coloring_from_sets(G, b, chosen, sets)
 
 
 @lru_cache(maxsize=None)
-def fractional_value(G: Graph) -> tuple[Fraction, FractionalCertificate]:
-    """Exact fractional chromatic number and an optimal certificate.
+def fractional_value(G: Graph) -> tuple[Fraction, tuple[tuple[frozenset[int], Fraction], ...]]:
+    """Exact fractional chromatic number, and an optimal certificate: the
+    (maximal independent set, positive weight) pairs of the cover.
 
     The value comes from the exact rational covering LP over all maximal
     independent sets.  Memoized by graph: the chi_f window and the chi_b
@@ -276,11 +259,7 @@ def fractional_value(G: Graph) -> tuple[Fraction, FractionalCertificate]:
         raise ValueError("fractional chromatic number needs at least one vertex")
     sets = maximal_independent_sets(G)
     value, weights = solve_cover_lp(G.n, sets)
-    cert = FractionalCertificate(
-        weights=tuple((s, w) for s, w in zip(sets, weights) if w),
-        total=value,
-    )
-    return value, cert
+    return value, tuple((s, w) for s, w in zip(sets, weights) if w)
 
 
 def classify_chi_f_window(G: Graph) -> bool:

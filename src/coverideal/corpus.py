@@ -15,11 +15,12 @@ Two things keep that cheap without changing what is kept:
   could never have been the first of its class, and the first-kept
   representatives and their order are exactly those of the unpruned
   extension.
-- One certificate per graph (``graphs.first_of_each_class``): degree
-  refinement is run once per candidate, and its hashed round-by-round
-  trace is the bucket key.  A candidate is matched only against the
-  representatives in its bucket, by bitmask backtracking within color
-  cells; the same matcher enumerates Aut(parent).
+- One certificate per graph (``graphs._classes``): degree refinement is
+  run once per candidate, and its hashed round-by-round trace is the
+  bucket key.  A candidate is matched only against the representatives
+  in its bucket, by bitmask backtracking within color cells; the same
+  matcher enumerates Aut(parent) from the certificate kept with the
+  parent's level (``_level``), so no parent is refined twice.
 
 The critical census (``critical_graphs``) takes one route for every n
 and screens before it builds.  A parent screen drops candidate parents
@@ -43,15 +44,16 @@ graph-level reference of the neighborhood screen.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 
 from .coloring import is_critical
 from .graphs import (
     Graph,
+    _Certificate,
+    _certificate,
     _classes,
     _isomorphisms,
     _members,
-    automorphisms,
     build_graph,
     first_of_each_class,
     is_connected,
@@ -76,23 +78,24 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(G for G in all_graphs(n) if is_connected(G))
 
 
-def _extensions(parents, dmin: int, screen=None, certs=None):
+def _extensions(parents, certs, dmin: int, screen=None):
     """Orbit-pruned extensions of the given parents, in census order.
 
     Every graph on n vertices with minimum degree >= dmin extends a
-    representative of ``_parents(n, dmin)`` by a vertex n - 1 whose
+    representative of level (n - 1, dmin - 1) by a vertex n - 1 whose
     neighborhood S covers every parent vertex of degree < dmin and has size
     >= dmin.  The neighborhoods of one parent come in ``combinations`` order
     of their optional part, and only the first member of each orbit under
-    Aut(parent) is extended.  A child's masks are the parent's, with bit
+    Aut(parent) is extended; Aut(parent) is listed from the parent's
+    certificate in ``certs``.  A child's masks are the parent's, with bit
     n - 1 set on the members of S.
 
     ``screen(parent)``, when given, returns a test of S as a bitmask.  It
     must be an Aut(parent)-invariant, so an S it rejects never enters the
     orbit bookkeeping, and the automorphisms are listed only once a first S
-    of the parent passes, from the parent's certificate in ``certs`` if given.
+    of the parent passes.
     """
-    for parent, cert in zip(parents, certs or repeat(None)):
+    for parent, cert in zip(parents, certs):
         new = 1 << parent.n
         deficient = [v for v in range(parent.n) if parent.degree(v) < dmin]
         optional = [v for v in range(parent.n) if parent.degree(v) >= dmin]
@@ -108,39 +111,35 @@ def _extensions(parents, dmin: int, screen=None, certs=None):
                 if bits in seen or keep and not keep(S):
                     continue
                 if auts is None:
-                    auts = list(_isomorphisms(cert, cert)) if cert else automorphisms(parent)
+                    auts = list(_isomorphisms(cert, cert))
                 seen.update(sum(1 << p[v] for v in extra) for p in auts)
                 masks = [m | new if S >> v & 1 else m for v, m in enumerate(parent.masks)]
                 yield Graph(parent.n + 1, (*masks, S))
 
 
-def _parents(n: int, dmin: int) -> tuple[Graph, ...]:
-    """The representatives whose extensions make up level (n, dmin).
+@lru_cache(maxsize=None)
+def _level(n: int, dmin: int) -> tuple[tuple[Graph, ...], tuple[_Certificate, ...]]:
+    """The representatives of level (n, dmin), with their certificates.
 
     Deleting a vertex lowers each remaining degree by at most one, so every
-    graph on n vertices with minimum degree >= dmin extends a graph on
-    n - 1 vertices of minimum degree >= dmin - 1.  The one graph on no
-    vertices is the parent of the single vertex.
+    graph on n vertices with minimum degree >= dmin extends a graph of
+    level (n - 1, dmin - 1).  Level 0 is the one graph on no vertices.
     """
-    if n == 1:
-        return (Graph(0, ()),)
-    return graphs_with_min_degree(n - 1, max(dmin - 1, 0))
+    if n == 0:
+        empty = Graph(0, ())
+        return (empty,), (_certificate(empty),)
+    if dmin > n - 1:
+        return (), ()
+    reps, certs = _classes(_extensions(*_level(n - 1, max(dmin - 1, 0)), dmin))
+    return tuple(reps), tuple(certs)
 
 
-@lru_cache(maxsize=None)
 def graphs_with_min_degree(n: int, dmin: int) -> tuple[Graph, ...]:
-    """All graphs on n vertices with minimum degree >= dmin, up to isomorphism.
-
-    Each is an extension of ``_parents(n, dmin)`` whose new neighborhood
-    covers every parent vertex of degree dmin - 1 and has size >= dmin.  A
-    dmin of 0 or less gives all graphs.
-    """
+    """All graphs on n vertices with minimum degree >= dmin, up to isomorphism,
+    as ``_level`` builds them.  A dmin of 0 or less gives all graphs."""
     if n < 1:
         raise ValueError("vertex count must be >= 1")
-    dmin = max(dmin, 0)
-    if dmin > n - 1:
-        return ()
-    return tuple(first_of_each_class(_extensions(_parents(n, dmin), dmin)))
+    return _level(n, max(dmin, 0))[0]
 
 
 def _dominated_pairs(P: Graph) -> tuple[int, int]:
@@ -197,7 +196,7 @@ def critical_graphs(n: int) -> tuple[tuple[Graph, int], ...]:
     G = P + v with N(v) = S, the pair (u, w) of P stays undominated in G
     only when u is in S and w is not.
 
-    The parents are the extensions that would make up ``_parents(n, d)``,
+    The parents are the extensions that would make up level (n - 1, d - 1),
     kept by ``_can_carry`` before they are deduplicated.  Each condition
     holds for P = G - v whenever G is critical:
 
@@ -221,11 +220,12 @@ def critical_graphs(n: int) -> tuple[tuple[Graph, int], ...]:
         return ((build_graph(1, []), 1),)
     d = 3 if n == 8 else 0
     d_parent = max(d - 1, 0)
+    grandparents = _level(n - 2, max(d_parent - 1, 0))
     parents, certs = _classes(
-        P for P in _extensions(_parents(n - 1, d_parent), d_parent) if _can_carry(P, d)
+        P for P in _extensions(*grandparents, d_parent) if _can_carry(P, d)
     )
     out = []
-    for G in first_of_each_class(_extensions(parents, d, _child_screen, certs)):
+    for G in first_of_each_class(_extensions(parents, certs, d, _child_screen)):
         critical, chi, _ = is_critical(G)
         if critical:
             out.append((G, chi))

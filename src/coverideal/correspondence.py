@@ -32,10 +32,10 @@ __all__ = [
 
 
 class ComponentCorrespondence(NamedTuple):
-    """One irreducible component of J^s with its shadow set and criticality data."""
+    """One irreducible component of J^s with the criticality data of its
+    shadow graph; its shadow set is ``component_to_Y(component, s)``."""
 
     component: IrreducibleIdeal
-    Y: frozenset[int]
     chi: int
     verified_critical: bool
 
@@ -82,16 +82,8 @@ def verify_correspondence(G: Graph, s: int) -> list[ComponentCorrespondence]:
     decomp = irreducible_decomposition(power(cover_ideal(G), s))
     out = []
     for comp in decomp:
-        Y = component_to_Y(comp, s)
         critical, chi, _ = is_critical(replicate(G, _copies(comp, s)))
-        out.append(
-            ComponentCorrespondence(
-                component=comp,
-                Y=Y,
-                chi=chi,
-                verified_critical=critical and chi == s + 1,
-            )
-        )
+        out.append(ComponentCorrespondence(comp, chi, critical and chi == s + 1))
     return out
 
 

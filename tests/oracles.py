@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from coverideal.coloring import Coloring, FractionalCertificate, chromatic_number, is_critical
+from coverideal.coloring import chromatic_number, is_critical
 from coverideal.corpus import connected_graphs, graphs_with_min_degree
 from coverideal.graphs import Graph, build_graph, is_connected, replicate
 from coverideal.ideals import (
@@ -614,28 +614,31 @@ def perfect_graph_components(G: Graph, s: int) -> set[IrreducibleIdeal]:
 # checkers of the package's witnesses and of the dictionary's converse
 
 
-def coloring_is_proper(G: Graph, col: Coloring) -> bool:
-    """Validate a b-fold coloring against its graph."""
-    if len(col.assignment) != G.n or col.b < 1 or col.colors_used < 0:
+def coloring_is_proper(G: Graph, used: int, assignment, b: int = 1) -> bool:
+    """Validate a b-fold coloring against its graph: assignment[v] holds
+    exactly b colors of v, each in 0..used-1, and adjacent vertices share none."""
+    if len(assignment) != G.n or b < 1 or used < 0:
         return False
-    for cs in col.assignment:
-        if len(cs) != col.b:
+    assignment = [frozenset(cs) for cs in assignment]
+    for cs in assignment:
+        if len(cs) != b:
             return False
-        if any(c < 0 or c >= col.colors_used for c in cs):
+        if any(c < 0 or c >= used for c in cs):
             return False
-    return all(not col.assignment[u] & col.assignment[v] for u, v in G.edges())
+    return all(not assignment[u] & assignment[v] for u, v in G.edges())
 
 
-def certificate_is_valid(G: Graph, cert: FractionalCertificate) -> bool:
-    """Validate a fractional cover certificate: independence, coverage, total."""
-    if sum((w for _, w in cert.weights), Fraction(0)) != cert.total:
+def certificate_is_valid(G: Graph, value: Fraction, weights) -> bool:
+    """Validate a fractional cover certificate, (independent set, weight)
+    pairs: independence, positive weights, coverage and total."""
+    if sum((w for _, w in weights), Fraction(0)) != value:
         return False
-    if any(w <= 0 for _, w in cert.weights):
+    if any(w <= 0 for _, w in weights):
         return False
-    if any(neighbors(G, v) & s for s, _ in cert.weights for v in s):
+    if any(neighbors(G, v) & s for s, _ in weights for v in s):
         return False
     for v in range(G.n):
-        if sum((w for s, w in cert.weights if v in s), Fraction(0)) < 1:
+        if sum((w for s, w in weights if v in s), Fraction(0)) < 1:
             return False
     return True
 

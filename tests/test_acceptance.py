@@ -10,6 +10,8 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -17,7 +19,6 @@ from itertools import combinations
 import pytest
 
 from coverideal import ideals
-from coverideal.cli import main
 from coverideal.coloring import (
     b_fold_chromatic,
     chromatic_number,
@@ -143,10 +144,40 @@ def test_criterion_4_explicit_component_reading():
     )
 
 
+# On Linux a spawned child's ru_maxrss starts from the peak RSS of the
+# process that spawned it, so the command runs under a small launcher, and
+# its own exit code and peak RSS (kB, from os.wait4) come back on the
+# launcher's last line of stderr.
+_LAUNCHER = """
+import os, subprocess, sys
+pid = subprocess.Popen(sys.argv[1:]).pid
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def _run_measured(*argv):
+    """``python -m coverideal *argv`` in a child process: its exit code,
+    stdout, stderr and peak RSS in kB."""
+    package_root = os.path.dirname(os.path.dirname(ideals.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, sys.executable, "-m", "coverideal", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    err, _, last = proc.stderr.rstrip("\n").rpartition("\n")
+    code, peak_kb = map(int, last.split())
+    return code, proc.stdout, err, peak_kb
+
+
 @pytest.mark.skipif(
     not EXTENDED, reason="set COVERIDEAL_EXTENDED=1 to run the 4th-power decomposition"
 )
-def test_criterion_4_extended_full_decomposition(capsys):
+def test_criterion_4_extended_full_decomposition():
     start = time.perf_counter()
     G = mycielski(family("cycle", 9))
     J = cover_ideal(G)
@@ -167,14 +198,16 @@ def test_criterion_4_extended_full_decomposition(capsys):
     assert len(decomp) == 25_392
     digest = hashlib.sha256(repr([c.exps for c in decomp]).encode()).hexdigest()
     assert digest == "5eb62e63985b9edf5dc41fa545f00384c98ed4bf5f06648a5a67af156e042a7d"
-    # The paper's dictionary in full, through the command line: every
-    # component's shadow graph is critically 5-chromatic (the decomposition
-    # is reused from the memo).  The report is pinned by size and SHA-256.
-    code = main(["verify", "correspondence", "--builtin", "mycielski-cycle:9",
-                 "--power", "4", "--json"])
-    out, err = capsys.readouterr()
+    # The paper's dictionary in full, through the command line in a child
+    # process: every component's shadow graph is critically 5-chromatic.
+    # The report is pinned by size and SHA-256, and the command's own peak
+    # RSS is bounded.
+    code, out, err, peak_kb = _run_measured(
+        "verify", "correspondence", "--builtin", "mycielski-cycle:9", "--power", "4", "--json"
+    )
     assert (code, err) == (0, "")
     assert len(out.encode()) == 15_816_411
+    assert peak_kb < 300 * 1024, f"peak RSS {peak_kb / 1024:.0f} MB"
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "b4626a1f65693f9fa59c6333a835d58ba9b8370053a64dd062603631b4e10d80"
     results = json.loads(out)["results"]

@@ -460,41 +460,50 @@ class TestDegenerateGraphs:
         assert "internal error:" not in err and "Traceback" not in err
 
 
-# SHA-256 of each command's --json stdout. Reports are byte-stable, so only
-# an intended change of answer or format may change a digest.
+# SHA-256 of each command's --json stdout, then of its human-format stdout.
+# Reports are byte-stable, so only an intended change of answer or format
+# may change a digest.
 _FROZEN_REPORTS = {
     "decompose_mc7_s3": (
         ["decompose", "--builtin", "mycielski-cycle:7", "--power", "3"],
         "d379bdd77a2426ba93965d49bdc3942ed375c79957de29c874e823ccbae9eeef",
+        "015f8d51a0a97d4009e054305251842ebf319e59f16b47cb34af05e7cef3ff2d",
     ),
     "decompose_c18_s2": (
         ["decompose", "--builtin", "cycle:18", "--power", "2"],
         "ce72f7bf2cf6a9075dda12ac80b9e17cc7d922fd449b90da54d9ab4cc81bc70e",
+        "380df829752921d6c7c7bea1658e1724a44bde66174bdf1fd67a04301c9a8c31",
     ),
     "correspondence_mc5_s3": (
         ["verify", "correspondence", "--builtin", "mycielski-cycle:5", "--power", "3"],
         "c08b678fabfa7a8c0d37a912c21ad64a12a87167a800b3dbb8fb550bb99013be",
+        "fd6cc1d5f12092509707a99b9fdee538a2bd4412d3203957f8119517b5616b54",
     ),
     "persistence_mc5_s2": (
         ["verify", "persistence", "--builtin", "mycielski-cycle:5", "--power", "2"],
         "cbf908f3749f5a490d5e52b2b53c6d905303fbb8ec625a9cc3f3c5da9297783f",
+        "e8045cee7bc10f2e303f1dfe150c1b6dbb01d93315f0a951c406392f5d40f3eb",
     ),
     "technical_lemma_mc5": (
         ["verify", "technical-lemma", "--builtin", "mycielski-cycle:5",
          "--W", "0,2,5", "--b", "3"],
         "ccb8df77b778edda305b0b50a1fbb153771c77eb0498d74d52414c4e13ef4fe9",
+        "6a0c6aaf0adc4edc081d2ef4fe98282e2238a764e62ad5002ee6f8cf40a755fb",
     ),
     "invariants_mc5_bfold": (
         ["invariants", "--builtin", "mycielski-cycle:5", "--bfold", "1,2"],
         "9bd6fb07f4c607867b22394d0ae4c751fca317f2c9fecb9f1d283cba3f5325d7",
+        "42d896ce75deddcf35173e419dfc4d29d36c2143ae64d66767c6e30e4b32fe1a",
     ),
     "conjecture_c7": (
         ["conjecture", "--builtin", "cycle:7"],
         "f0b571099a7f8214229f633f98d7782fc1de859df2dc1b6243053d73ffc654b4",
+        "87d0549b98113f79cd791cbbf1148d897b21dda9865fd6c9b18431e6ffb755ee",
     ),
     "conjecture_mc9_all": (
         ["conjecture", "--builtin", "mycielski-cycle:9", "--mode", "all-subsets"],
         "c343a0b4862ffa0b34464e9ad5c6ea270fb358c2458276bb41221530f39acb40",
+        "ea6b80ff79109a7de02fa6d074b5c726ae6d08871a1d665eb164a8b426593d07",
     ),
 }
 
@@ -502,8 +511,15 @@ _FROZEN_REPORTS = {
 class TestFrozenReports:
     @pytest.mark.parametrize("name", _FROZEN_REPORTS)
     def test_json_report_digest(self, capsys, name):
-        argv, digest = _FROZEN_REPORTS[name]
+        argv, digest, _ = _FROZEN_REPORTS[name]
         code, out, err = run_cli(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", _FROZEN_REPORTS)
+    def test_human_report_digest(self, capsys, name):
+        argv, _, digest = _FROZEN_REPORTS[name]
+        code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

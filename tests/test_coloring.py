@@ -53,13 +53,13 @@ class TestChromaticNumber:
         ids=["K4", "C9", "C6", "K1", "petersen"],
     )
     def test_known_values(self, G, want):
-        chi, witness = chromatic_number(G)
+        chi, colors = chromatic_number(G)
         assert chi == want
-        assert coloring_is_proper(G, witness)
-        assert witness.colors_used == chi and witness.b == 1
+        assert coloring_is_proper(G, chi, [[c] for c in colors])
+        assert sorted(set(colors)) == list(range(chi))
 
     def test_mycielski_C9(self):
-        chi, witness = chromatic_number(mycielski(family("cycle", 9)))
+        chi, _ = chromatic_number(mycielski(family("cycle", 9)))
         assert chi == 4
 
     def test_empty_graph(self):
@@ -68,15 +68,15 @@ class TestChromaticNumber:
 
     @given(graphs(max_n=7))
     def test_matches_brute_force(self, G):
-        chi, witness = chromatic_number(G)
+        chi, colors = chromatic_number(G)
         assert chi == brute_chromatic(G)
-        assert coloring_is_proper(G, witness)
+        assert coloring_is_proper(G, chi, [[c] for c in colors])
 
     @given(graphs_with_components())
     def test_several_components_match_brute_force(self, G):
-        chi, witness = chromatic_number(G)
+        chi, colors = chromatic_number(G)
         assert chi == brute_chromatic(G)
-        assert coloring_is_proper(G, witness)
+        assert coloring_is_proper(G, chi, [[c] for c in colors])
 
     @given(graphs(min_n=2, max_n=7), st.data())
     def test_monotone_under_induced_subgraphs(self, G, data):
@@ -175,8 +175,8 @@ class TestFrozenWitnesses:
         rows = []
         for n in range(1, 8):
             for G in all_graphs(n):
-                chi, w = chromatic_number(G)
-                rows.append((n, G.edges(), chi, [sorted(c) for c in w.assignment], is_critical(G)))
+                chi, colors = chromatic_number(G)
+                rows.append((n, G.edges(), chi, [[c] for c in colors], is_critical(G)))
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "562d9b6c2a66490074af908d0e0eec0ee7d1f53f8637e151b472c8f2a45928c8"
         )
@@ -197,10 +197,9 @@ class TestBFold:
         ids=["K3b2", "C5b2", "C5b1", "C5b3", "C7b3", "petersen_b2", "petersen_b3"],
     )
     def test_known_values(self, G, b, want):
-        value, witness = b_fold_chromatic(G, b)
+        value, assignment = b_fold_chromatic(G, b)
         assert value == want
-        assert coloring_is_proper(G, witness)
-        assert witness.b == b and witness.colors_used == value
+        assert coloring_is_proper(G, value, assignment, b)
 
     def test_invalid_fold(self):
         with pytest.raises(ValueError):
@@ -254,10 +253,9 @@ class TestFractional:
         ids=["K4", "C5", "antihole7", "petersen"],
     )
     def test_known_values(self, G, num, den):
-        value, cert = fractional_value(G)
+        value, weights = fractional_value(G)
         assert value == Fraction(num, den)
-        assert certificate_is_valid(G, cert)
-        assert cert.total == value
+        assert certificate_is_valid(G, value, weights)
         # Each of these graphs attains its chi_f with 2 colors per vertex.
         assert b_fold_chromatic(G, 2)[0] == 2 * value
 
@@ -275,8 +273,8 @@ class TestFractional:
 
     @given(graphs(min_n=1, max_n=6), st.integers(min_value=1, max_value=4))
     def test_below_all_fold_ratios(self, G, b):
-        value, cert = fractional_value(G)
-        assert certificate_is_valid(G, cert)
+        value, weights = fractional_value(G)
+        assert certificate_is_valid(G, value, weights)
         assert value <= Fraction(b_fold_chromatic(G, b)[0], b)
 
     @given(graphs(min_n=1, max_n=6))

@@ -7,6 +7,7 @@ Criticality censuses were cross-checked with oracle chromatic numbers.
 
 import hashlib
 import os
+from functools import lru_cache
 
 import pytest
 from conftest import graphs
@@ -182,7 +183,7 @@ class TestCensusScreens:
             if not is_connected(parent):
                 continue
             keep = _child_screen(parent)
-            for G in _extensions([parent], dmin):
+            for G in _extensions([parent], [graphs_module._certificate(parent)], dmin):
                 assert keep(G.masks[-1]) == (is_connected(G) and not _dominated(G))
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -198,11 +199,9 @@ class TestCensusScreens:
 
     def test_eight_vertices_build_only_screened_candidates(self, monkeypatch):
         levels = []
-        real_level = corpus.graphs_with_min_degree
+        real_level = corpus._level
         monkeypatch.setattr(
-            corpus,
-            "graphs_with_min_degree",
-            lambda n, dmin: levels.append(n) or real_level(n, dmin),
+            corpus, "_level", lambda n, dmin: levels.append(n) or real_level(n, dmin)
         )
         handed = []
 
@@ -224,20 +223,46 @@ class TestCensusScreens:
         assert handed[-2:] == [1398, 1799]
 
     def test_eight_vertices_refine_each_graph_once(self, monkeypatch):
-        # The 280 screened parents that reach the orbit bookkeeping list
-        # their automorphisms from the certificate kept when they were
-        # deduplicated, not from a second refinement.
+        # With the levels cached, only the 1,398 candidate parents and the
+        # 1,799 children are refined.  The 280 screened parents that reach
+        # the orbit bookkeeping list their automorphisms from the
+        # certificate kept when they were deduplicated, not from a second
+        # refinement.
         critical_graphs(8)
-        refined = []
-
-        def certificate(G):
-            refined.append(G)
-            return real(G)
-
-        real = graphs_module._certificate
-        monkeypatch.setattr(graphs_module, "_certificate", certificate)
+        refined = _count_refinements(monkeypatch)
         assert corpus.critical_graphs.__wrapped__(8) == critical_graphs(8)
-        assert len(refined) == len(set(refined)) == 3319
+        assert len(refined) == len(set(refined)) == 3197
+
+    @pytest.mark.parametrize(
+        "build,count",
+        [
+            (lambda: corpus.critical_graphs.__wrapped__(8), 3748),
+            (lambda: [corpus.connected_graphs.__wrapped__(n) for n in range(2, 7)], 664),
+        ],
+        ids=["critical_8", "connected_2_to_6"],
+    )
+    def test_cold_census_refines_each_graph_once(self, monkeypatch, build, count):
+        # Every level keeps its certificates, so the parents that come from
+        # a cached level are not refined again when their extensions list
+        # Aut(parent): each graph the build meets is refined once.
+        monkeypatch.setattr(corpus, "_level", lru_cache(maxsize=None)(corpus._level.__wrapped__))
+        refined = _count_refinements(monkeypatch)
+        build()
+        assert len(refined) == len(set(refined)) == count
+
+
+def _count_refinements(monkeypatch):
+    """Every graph that ``_certificate`` refines from here on, in order."""
+    refined = []
+    real = graphs_module._certificate
+
+    def certificate(G):
+        refined.append(G)
+        return real(G)
+
+    monkeypatch.setattr(graphs_module, "_certificate", certificate)
+    monkeypatch.setattr(corpus, "_certificate", certificate)
+    return refined
 
 
 def _dominated_vertices(G):

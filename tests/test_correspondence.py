@@ -113,7 +113,7 @@ class TestVerifyCorrespondence:
         results = verify_correspondence(family("cycle", 5), 1)
         assert len(results) == 5
         for r in results:
-            assert len(r.Y) == 2
+            assert len(component_to_Y(r.component, 1)) == 2
             assert r.chi == 2
             assert r.verified_critical
 
@@ -124,7 +124,7 @@ class TestVerifyCorrespondence:
         assert all(r.verified_critical for r in results)
         full = [r for r in results if len(r.component.exps) == 5]
         assert len(full) == 1
-        H = induced_subgraph(replicate(G, [2] * G.n), full[0].Y)
+        H = induced_subgraph(replicate(G, [2] * G.n), component_to_Y(full[0].component, 2))
         assert (H.n, H.m) == (5, 5)
         assert full[0].chi == 3
 

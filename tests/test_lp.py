@@ -89,7 +89,7 @@ def test_kneser_8_3_is_eight_thirds():
     G = kneser_graph(8, 3)
     value, cert = fractional_value(G)
     assert value == Fraction(8, 3)
-    assert certificate_is_valid(G, cert)
+    assert certificate_is_valid(G, value, cert)
 
 @given(graphs(min_n=1, max_n=6))
 def test_feasibility_and_value_consistency(G):
@@ -117,7 +117,7 @@ def test_equals_dense_oracle_on_all_graphs_to_7():
         for G in all_graphs(k):
             value, cert = fractional_value(G)
             assert value == dense_cover_lp(G.n, maximal_independent_sets(G))[0], G.edges()
-            assert certificate_is_valid(G, cert), G.edges()
+            assert certificate_is_valid(G, value, cert), G.edges()
 
 
 @st.composite
@@ -198,17 +198,17 @@ class TestClosedForms:
         # Larsen-Propp-Ullman: chi_f(M(G)) = chi_f(G) + 1 / chi_f(G).
         value, cert = fractional_value(G)
         assert value == expected
-        assert certificate_is_valid(G, cert)
+        assert certificate_is_valid(G, value, cert)
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_odd_cycles(self, k):
         G = family("cycle", 2 * k + 1)
         value, cert = fractional_value(G)
         assert value == 2 + Fraction(1, k)
-        assert certificate_is_valid(G, cert)
+        assert certificate_is_valid(G, value, cert)
 
     def test_kneser_7_3(self):
         G = kneser_graph(7, 3)
         value, cert = fractional_value(G)
         assert value == Fraction(7, 3)
-        assert certificate_is_valid(G, cert)
+        assert certificate_is_valid(G, value, cert)

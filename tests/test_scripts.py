@@ -3,12 +3,14 @@
 import hashlib
 import os
 import re
+import runpy
 import subprocess
 import sys
 
 import pytest
 
 import coverideal
+from coverideal import correspondence
 from coverideal.cli import CLIError, exit_code
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
@@ -152,6 +154,23 @@ def test_decompose_powers():
     proc = run_script("decompose_powers.py", "--builtin", "cycle:5", "--s-max", "2")
     assert proc.returncode == 0
     assert "s=2: all 11 components verified critically 3-chromatic" in proc.stdout
+
+
+def test_decompose_powers_lists_failed_components(monkeypatch, capsys):
+    # Shadow graphs on 5 or more vertices read as non-critical: at s = 2 on
+    # C5 only the full component fails.  Its shadow set keeps the first of
+    # the 2 shadows of each vertex, v*2.
+    real = correspondence.is_critical
+    monkeypatch.setattr(
+        correspondence, "is_critical", lambda H: (real(H)[0] and H.n < 5, *real(H)[1:])
+    )
+    script = runpy.run_path(os.path.join(SCRIPTS, "decompose_powers.py"))
+    assert script["main"](["--builtin", "cycle:5", "--s-max", "2"]) == 1
+    out = re.sub(r" \(\d+\.\ds\)", "", capsys.readouterr().out)
+    assert out.splitlines()[-2:] == [
+        "s=2: 1 components FAILED verification:",
+        "  exps=((0, 2), (1, 2), (2, 2), (3, 2), (4, 2)) Y=[0, 2, 4, 6, 8] chi=3",
+    ]
 
 
 DECOMPOSE_NO_VERIFY = """\

@@ -7,10 +7,8 @@ import pytest
 import coverideal
 
 PUBLIC = [
-    "Coloring",
     "ComponentCorrespondence",
     "ConjectureWitness",
-    "FractionalCertificate",
     "Graph",
     "IrreducibleIdeal",
     "Monomial",
