@@ -52,7 +52,7 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         decomp = irreducible_decomposition(Js)
         t_dec = time.perf_counter() - t0
-        hist = Counter(len(c.exps) for c in decomp)
+        hist = Counter(len(c) - c.count(0) for c in decomp)
         print(f"s={s}: {len(Js.gens)} generators ({t_pow:.1f}s), "
               f"{len(decomp)} components ({t_dec:.1f}s), "
               f"support sizes {dict(sorted(hist.items()))}", flush=True)
@@ -67,7 +67,8 @@ def main(argv=None) -> int:
                   f"({t_ver:.1f}s):", flush=True)
             for r in bad[:10]:
                 Y = sorted(component_to_Y(r.component, s))
-                print(f"  exps={r.component.exps} Y={Y} chi={r.chi}")
+                exps = tuple((v, e) for v, e in enumerate(r.component) if e)
+                print(f"  exps={exps} Y={Y} chi={r.chi}")
             return 1
         print(f"s={s}: all {len(records)} components verified critically "
               f"{s + 1}-chromatic ({t_ver:.1f}s)", flush=True)

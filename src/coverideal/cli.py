@@ -187,8 +187,8 @@ def _frac(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _component_strs(comp) -> list[str]:
-    return [f"x{v}^{e}" for v, e in comp.exps]
+def _terms(m) -> list[str]:
+    return [f"x{v}^{e}" for v, e in enumerate(m) if e]
 
 
 def _int_list(text: str, what: str) -> list[int]:
@@ -276,8 +276,8 @@ def _cmd_decompose(args):
     decomp = irreducible_decomposition(Js)
     results = {
         "nvars": G.n,
-        "generators": ["*".join(f"x{i}^{e}" for i, e in enumerate(g) if e) for g in Js.gens],
-        "components": [_component_strs(c) for c in decomp],
+        "generators": ["*".join(_terms(g)) for g in Js.gens],
+        "components": [_terms(c) for c in decomp],
         "component_count": len(decomp),
         "associated_primes": [sorted(p) for p in associated_primes(Js)],
     }
@@ -295,7 +295,7 @@ def _cmd_verify(args):
             "s": args.power,
             "components": [
                 {
-                    "component": _component_strs(r.component),
+                    "component": _terms(r.component),
                     "Y": sorted(component_to_Y(r.component, args.power)),
                     "chi": r.chi,
                     "verified": r.verified_critical,

@@ -1,6 +1,8 @@
 """Dictionary between irreducible components of cover-ideal powers and
 critical induced subgraphs of graph expansions, plus the derived checks:
-persistence of associated primes and the critical-expansion search."""
+persistence of associated primes and the critical-expansion search.  A
+component of J(G)^s is its exponent vector a, and its shadow set keeps
+s - a_v + 1 shadows of each v with a_v > 0 and none of the others."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from typing import NamedTuple
 from .coloring import chromatic_number, is_critical, b_fold_chromatic
 from .graphs import Graph, expand, maximal_independent_sets, replicate
 from .ideals import (
-    IrreducibleIdeal,
+    Monomial,
     associated_primes,
     contains_in_power,
     cover_ideal,
@@ -32,10 +34,11 @@ __all__ = [
 
 
 class ComponentCorrespondence(NamedTuple):
-    """One irreducible component of J^s with the criticality data of its
-    shadow graph; its shadow set is ``component_to_Y(component, s)``."""
+    """One irreducible component of J^s, as its exponent vector, with the
+    criticality data of its shadow graph; its shadow set is
+    ``component_to_Y(component, s)``."""
 
-    component: IrreducibleIdeal
+    component: Monomial
     chi: int
     verified_critical: bool
 
@@ -49,28 +52,26 @@ class ConjectureWitness(NamedTuple):
     expanded_critical: bool
 
 
-def _copies(component: IrreducibleIdeal, s: int) -> list[int]:
-    """Shadows kept per vertex by a component of J^s: s - a + 1 at x_v^a,
-    0 off the support.  The component's shadow graph is
-    ``replicate(G, _copies(component, s))``."""
-    copies = [0] * component.nvars
-    for v, a in component.exps:
-        copies[v] = s - a + 1
-    return copies
+def _copies(a: Monomial, s: int) -> list[int]:
+    """Shadows kept per vertex by the component a of J^s: s - a_v + 1 on
+    its support, 0 off it.  The component's shadow graph is
+    ``replicate(G, _copies(a, s))``."""
+    return [s - e + 1 if e else 0 for e in a]
 
 
-def component_to_Y(component: IrreducibleIdeal, s: int) -> frozenset[int]:
-    """Shadow set in the s-th expansion matching a component of J^s.
+def component_to_Y(a: Monomial, s: int) -> frozenset[int]:
+    """Shadow set in the s-th expansion matching the component of J^s with
+    exponent vector a.
 
-    Vertex v keeps its first _copies(component, s)[v] shadows, which sit
-    at indices v*s, v*s + 1, ... of the expansion.
+    Vertex v keeps its first _copies(a, s)[v] shadows, which sit at
+    indices v*s, v*s + 1, ... of the expansion.
     """
     if s < 1:
         raise ValueError("expansion order must be >= 1")
-    for v, e in component.exps:
-        if not 1 <= e <= s:
+    for v, e in enumerate(a):
+        if e and not 1 <= e <= s:
             raise ValueError(f"exponent {e} at variable {v} outside 1..{s}")
-    return frozenset(v * s + j for v, c in enumerate(_copies(component, s)) for j in range(c))
+    return frozenset(v * s + j for v, c in enumerate(_copies(a, s)) for j in range(c))
 
 
 def verify_correspondence(G: Graph, s: int) -> list[ComponentCorrespondence]:

@@ -1,7 +1,9 @@
 """Monomial ideals of graphs: cover ideals, powers, membership, decompositions.
 
-Monomials are exponent tuples indexed by vertex.  All operations are exact
-and return canonically sorted data so that equal ideals print identically.
+Monomials are exponent tuples indexed by vertex, and so are irreducible
+components: (x_v^{a_v} : v in S) is the vector a, 0 off its support S.
+All operations are exact and return canonically sorted data so that equal
+ideals print identically.
 
 Packed rows.  A row of exponents is held as one Python int of
 fixed-width fields, variable 0 in the most significant field and each
@@ -35,7 +37,8 @@ chain (``_intersect``) holds its running generator set K this way.
 Memos.  ``_components`` holds the chain's answer for the last ideal only:
 each column's rank order and the components' rank rows.
 ``associated_primes`` reads the supports off the rank rows, and
-``irreducible_decomposition`` builds and sorts its records from both.
+``irreducible_decomposition`` maps each rank row through the orders to
+the component's exponent vector and sorts the vectors.
 ``cover_ideal`` holds the last graph's ideal and ``power`` the last power.
 
 Exponents may be any nonnegative ints; only the field width grows with
@@ -56,7 +59,6 @@ from .graphs import Graph, _members, minimal_vertex_covers
 __all__ = [
     "Monomial",
     "MonomialIdeal",
-    "IrreducibleIdeal",
     "monomial_ideal",
     "cover_ideal",
     "multiply",
@@ -291,13 +293,6 @@ def contains_in_power(J: MonomialIdeal, d: int, m: Monomial) -> bool:
     return _multicover(sets, [max(d - e, 0) for e in m], d) is not None
 
 
-class IrreducibleIdeal(NamedTuple):
-    """Ideal generated by pure powers x_v^e on its support; exps sorted by variable."""
-
-    nvars: int
-    exps: tuple[tuple[int, int], ...]
-
-
 def _intersect(R: list, tops: list[int]) -> list[tuple[int, ...]]:
     """Minimal rank rows of the intersection of the irreducible ideals whose
     exponent ranks are the rows of R, met in row order; ``tops[v]`` is the
@@ -423,27 +418,26 @@ def _components(I: MonomialIdeal) -> tuple[list[list[int]], list[tuple[int, ...]
     return orders, _intersect(_rank_rows(columns, orders), [len(order) - 1 for order in orders])
 
 
-def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
+def irreducible_decomposition(I: MonomialIdeal) -> tuple[Monomial, ...]:
     """Unique irredundant decomposition into irreducible monomial ideals,
     in canonical order (by support, then exponents).
 
-    Each call builds and sorts its records from the chain's answer
-    memoized by ``_components``, which runs the chain once per ideal.
+    A component (x_v^{a_v} : v in S) is its exponent vector a, 0 off S.
+    Each call reads the vectors off the rank rows memoized by
+    ``_components``, which runs the chain once per ideal, and sorts them.
     """
-    n = I.nvars
+    vertices = range(I.nvars)
     orders, ranks = _components(I)
-    keys = sorted(
-        (tuple(compress(range(n), c)), tuple(filter(None, map(getitem, orders, c))))
-        for c in ranks
-    )
-    return tuple(IrreducibleIdeal(n, tuple(zip(*key))) for key in keys)
+    comps = [tuple(map(getitem, orders, c)) for c in ranks]
+    comps.sort(key=lambda a: (tuple(compress(vertices, a)), tuple(filter(None, a))))
+    return tuple(comps)
 
 
 def associated_primes(I: MonomialIdeal) -> list[frozenset[int]]:
     """Supports of the irreducible components, deduplicated and sorted.
 
     Read straight off the memoized rank rows: a support is where a row is
-    nonzero, and no exponent or component record is built.
+    nonzero, and no exponent vector is built.
     """
     vertices = range(I.nvars)
     _, ranks = _components(I)

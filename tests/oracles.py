@@ -21,20 +21,23 @@ The checkers ``coloring_is_proper`` and ``certificate_is_valid`` validate
 the package's coloring and fractional-cover witnesses, and
 ``converse_correspondence`` is the completeness direction of the
 component dictionary: it walks every critical shadow set and asks whether
-its component is in the decomposition.  ``component_contains`` and
-``component_key`` read one irreducible component.  Oracles read a
-neighborhood only through ``neighbors``."""
+its component is in the decomposition.  Components are exponent vectors,
+as the package returns them: ``component_contains`` and ``component_key``
+read one, and ``is_component`` tests one against its ideal by its corner,
+one vector at a time with no decomposition.  Oracles read a neighborhood
+only through ``neighbors``."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import and_
 
 from coverideal.coloring import chromatic_number, is_critical
 from coverideal.corpus import connected_graphs, graphs_with_min_degree
 from coverideal.graphs import Graph, build_graph, is_connected, replicate
 from coverideal.ideals import (
-    IrreducibleIdeal,
     MonomialIdeal,
     contains_in_power,
     cover_ideal,
@@ -526,25 +529,24 @@ def _add_generator(gens, w):
     return tuple(sorted([g for g in gens if not brute_divides(w, g)] + [w]))
 
 
-def _pure_component(nvars: int, gens) -> IrreducibleIdeal:
-    exps = []
+def _pure_component(nvars: int, gens) -> tuple[int, ...]:
+    a = [0] * nvars
     for g in gens:
         (v,) = [i for i, e in enumerate(g) if e > 0]
-        exps.append((v, g[v]))
-    return IrreducibleIdeal(nvars, tuple(sorted(exps)))
+        a[v] = g[v]
+    return tuple(a)
 
 
-def _contains_ideal(a: IrreducibleIdeal, b: IrreducibleIdeal) -> bool:
-    """Whether ideal a contains ideal b.
+def _contains_ideal(a, b) -> bool:
+    """Whether the irreducible ideal a contains the irreducible ideal b.
 
     Every generator x_v^(b_v) of b must lie in a, which for pure powers
     means v is in a's support with a_v <= b_v.
     """
-    aexp = dict(a.exps)
-    return all(v in aexp and aexp[v] <= e for v, e in b.exps)
+    return all(0 < x <= y for x, y in zip(a, b) if y)
 
 
-def _prune(components) -> tuple[IrreducibleIdeal, ...]:
+def _prune(components) -> tuple[tuple[int, ...], ...]:
     uniq = sorted(set(components), key=component_key)
     kept = [
         c
@@ -554,7 +556,7 @@ def _prune(components) -> tuple[IrreducibleIdeal, ...]:
     return tuple(kept)
 
 
-def splitting_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
+def splitting_decomposition(I: MonomialIdeal) -> tuple[tuple[int, ...], ...]:
     """Irredundant irreducible components, canonically sorted, by splitting.
 
     Splits the lexicographically first generator with mixed support as
@@ -564,7 +566,7 @@ def splitting_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
     suffices because an irreducible ideal containing an intersection of
     monomial ideals contains one of them.
     """
-    memo: dict[tuple, tuple[IrreducibleIdeal, ...]] = {}
+    memo: dict[tuple, tuple[tuple[int, ...], ...]] = {}
     stack = [I.gens]
     while stack:
         gens = stack[-1]
@@ -590,7 +592,7 @@ def splitting_decomposition(I: MonomialIdeal) -> tuple[IrreducibleIdeal, ...]:
 # closed forms past brute-force size
 
 
-def perfect_graph_components(G: Graph, s: int) -> set[IrreducibleIdeal]:
+def perfect_graph_components(G: Graph, s: int) -> set[tuple[int, ...]]:
     """Irreducible components of J(G)^s for a perfect graph G.
 
     By Francisco–Hà–Van Tuyl the associated primes of J(G)^s of a perfect
@@ -606,7 +608,10 @@ def perfect_graph_components(G: Graph, s: int) -> set[IrreducibleIdeal]:
                 continue
             for exps in product(range(1, s + 1), repeat=r):
                 if sum(s + 1 - a for a in exps) == s + 1:
-                    comps.add(IrreducibleIdeal(G.n, tuple(zip(clique, exps))))
+                    a = [0] * G.n
+                    for v, e in zip(clique, exps):
+                        a[v] = e
+                    comps.add(tuple(a))
     return comps
 
 
@@ -643,17 +648,69 @@ def certificate_is_valid(G: Graph, value: Fraction, weights) -> bool:
     return True
 
 
-def component_contains(c: IrreducibleIdeal, m) -> bool:
+def component_contains(c, m) -> bool:
     """Whether the monomial m lies in the irreducible ideal c."""
-    return any(m[v] >= e for v, e in c.exps)
+    return any(e and x >= e for x, e in zip(m, c))
 
 
-def component_key(c: IrreducibleIdeal):
+def component_key(c):
     """Canonical sort key of a component: its support, then its exponents."""
-    return tuple(v for v, _ in c.exps), tuple(e for _, e in c.exps)
+    return tuple(v for v, e in enumerate(c) if e), tuple(e for e in c if e)
 
 
-def converse_correspondence(G: Graph, s: int) -> list[IrreducibleIdeal]:
+# The last ideal is_component was asked about, and its bitsets.
+_BELOW: list = [None, None]
+
+
+def _below(I: MonomialIdeal) -> list[list[int]]:
+    """``below[v][x]``, for x from 0 to the largest exponent of I at v: the
+    bitset of the generators of I whose exponent at v is at most x, bit i
+    for the i-th generator.  Built once per ideal, one string of binary
+    digits per bitset, so meant for small exponents."""
+    if _BELOW[0] is not I:
+        below = []
+        for col in zip(*I.gens):
+            col = col[::-1]
+            below.append(
+                [int("".join("1" if e <= x else "0" for e in col), 2) for x in range(max(col) + 1)]
+            )
+        _BELOW[:] = I, below
+    return _BELOW[1]
+
+
+def _in_ideal(below: list[list[int]], m) -> bool:
+    """Whether the monomial m lies in the ideal: some generator is at most
+    m at every v.  Past the largest exponent at v every generator is."""
+    return reduce(and_, (b[min(x, len(b) - 1)] for b, x in zip(below, m))) != 0
+
+
+def is_component(I: MonomialIdeal, a) -> bool:
+    """Whether the exponent vector a is an irreducible component of I.
+
+    Q = (x_v^{a_v} : v in S), S the support of a, leaves out exactly the
+    monomials below a - 1 on S.  Its corner c is a_v - 1 on S and the
+    largest exponent of I at v off S, which past I's generators stands for
+    any higher one.  So I lies in Q iff c is not in I.  Every irreducible
+    ideal strictly inside Q lies in the one of exponents a + e_v for some v
+    in S, whose corner is c + e_v; so no irreducible ideal strictly inside
+    Q contains I iff c + e_v is in I for every v in S.  The components are
+    the minimal irreducible ideals containing I, so a is one iff both hold.
+    """
+    below = _below(I)
+    c = [e - 1 if e else len(b) - 1 for e, b in zip(a, below)]
+    return not _in_ideal(below, c) and all(
+        _in_ideal(below, c[:v] + [c[v] + 1] + c[v + 1 :]) for v, e in enumerate(a) if e
+    )
+
+
+def one_step_neighbours(a) -> list[tuple[int, ...]]:
+    """The nonnegative vectors one step from a: one entry up or down by one."""
+    return [
+        a[:v] + (e + d,) + a[v + 1 :] for v, e in enumerate(a) for d in (1, -1) if e + d >= 0
+    ]
+
+
+def converse_correspondence(G: Graph, s: int) -> list[tuple[int, ...]]:
     """Critical canonical shadow sets whose component is absent from J(G)^s.
 
     Walks every copy vector in 0..s per vertex (the image of the shadow
@@ -671,7 +728,7 @@ def converse_correspondence(G: Graph, s: int) -> list[IrreducibleIdeal]:
         if chromatic_number(H)[0] != s + 1 or not is_critical(H)[0]:
             continue
         # c shadows of v read as the exponent s - c + 1 at v.
-        comp = IrreducibleIdeal(G.n, tuple((v, s - c + 1) for v, c in enumerate(copies) if c))
+        comp = tuple(s - c + 1 if c else 0 for c in copies)
         if comp not in decomp:
             missing.append(comp)
     return sorted(missing, key=component_key)

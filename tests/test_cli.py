@@ -19,7 +19,7 @@ import coverideal
 from conftest import graphs
 from coverideal import cli, lp
 from coverideal.cli import CLIError, main, parse_builtin, parse_edge_list, parse_graph6
-from coverideal.graphs import build_graph, family, kneser_graph
+from coverideal.graphs import kneser_graph
 
 
 def run_cli(capsys, *argv):

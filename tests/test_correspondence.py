@@ -38,7 +38,6 @@ from coverideal.graphs import (
     replicate,
 )
 from coverideal.ideals import (
-    IrreducibleIdeal,
     _held_power,
     associated_primes,
     contains_in_power,
@@ -57,18 +56,16 @@ from oracles import (
 
 class TestComponentToY:
     def test_single_shadow_per_vertex_at_s1(self):
-        comp = IrreducibleIdeal(5, ((1, 1), (2, 1)))
+        comp = (0, 1, 1, 0, 0)
         assert component_to_Y(comp, 1) == frozenset({1, 2})
 
     def test_full_square_keeps_one_shadow_each(self):
-        comp = IrreducibleIdeal(5, tuple((v, 2) for v in range(5)))
+        comp = (2,) * 5
         assert component_to_Y(comp, 2) == frozenset(v * 2 for v in range(5))
 
     def test_27_vertex_set_of_the_19_variable_component(self):
         low = frozenset({0, 2, 4, 6, 9, 11, 13, 15})
-        comp = IrreducibleIdeal(
-            19, tuple((v, 3 if v in low else 4) for v in range(19))
-        )
+        comp = tuple(3 if v in low else 4 for v in range(19))
         Y = component_to_Y(comp, 4)
         want = {v * 4 for v in range(19)} | {v * 4 + 1 for v in low}
         assert Y == frozenset(want)
@@ -76,9 +73,9 @@ class TestComponentToY:
 
     def test_exponent_range_enforced(self):
         with pytest.raises(ValueError):
-            component_to_Y(IrreducibleIdeal(3, ((0, 3),)), 2)
+            component_to_Y((3, 0, 0), 2)
         with pytest.raises(ValueError):
-            component_to_Y(IrreducibleIdeal(3, ((0, 1),)), 0)
+            component_to_Y((1, 0, 0), 0)
 
 
 def _assert_shadow_graphs_match_oracle(G, s):
@@ -86,8 +83,7 @@ def _assert_shadow_graphs_match_oracle(G, s):
     shadows of v, and the subgraph of G^s induced on component_to_Y."""
     Gs = brute_replicate(G, [s] * G.n)
     for comp in irreducible_decomposition(power(cover_ideal(G), s)):
-        a = dict(comp.exps)
-        copies = [s - a[v] + 1 if v in a else 0 for v in range(G.n)]
+        copies = [s - comp[v] + 1 if comp[v] else 0 for v in range(G.n)]
         H = replicate(G, _copies(comp, s))
         assert H == brute_replicate(G, copies)
         assert H == induced_subgraph(Gs, component_to_Y(comp, s))
@@ -122,7 +118,7 @@ class TestVerifyCorrespondence:
         results = verify_correspondence(G, 2)
         assert len(results) == 11
         assert all(r.verified_critical for r in results)
-        full = [r for r in results if len(r.component.exps) == 5]
+        full = [r for r in results if all(r.component)]
         assert len(full) == 1
         H = induced_subgraph(replicate(G, [2] * G.n), component_to_Y(full[0].component, 2))
         assert (H.n, H.m) == (5, 5)
@@ -174,11 +170,7 @@ class TestConverseCorrespondence:
         J2 = power(cover_ideal(family("path", 5)), 2)
         monkeypatch.setattr("oracles.power", lambda J, s: J2)
         missing = converse_correspondence(family("cycle", 5), 2)
-        assert [c.exps for c in missing] == [
-            ((0, 2), (1, 2), (2, 2), (3, 2), (4, 2)),
-            ((0, 1), (4, 2)),
-            ((0, 2), (4, 1)),
-        ]
+        assert missing == [(2, 2, 2, 2, 2), (1, 0, 0, 0, 2), (2, 0, 0, 0, 1)]
 
 
 def _squared_path(n):
@@ -460,12 +452,12 @@ def _witness_shift_component(H, Y, comp, s):
     assert witness is not None, "every component's graph should admit a witness at this scale"
     shadows = sorted(Y)
     bases = [shadows[w] // s for w in witness.W]
-    exps = []
-    for v, a in comp.exps:
+    shifted = []
+    for v, a in enumerate(comp):
         b_v = bases.count(v)
         assert 0 <= b_v <= a
-        exps.append((v, a - b_v + 1))
-    return IrreducibleIdeal(comp.nvars, tuple(exps))
+        shifted.append(a - b_v + 1 if a else 0)
+    return tuple(shifted)
 
 
 class TestWitnessShiftsComponentsForward:
@@ -490,5 +482,5 @@ class TestWitnessShiftsComponentsForward:
             critical, chi, _ = is_critical(H)
             assert critical and chi == s + 1
             shifted = _witness_shift_component(H, Y, comp, s)
-            assert all(1 <= e <= s + 1 for _, e in shifted.exps)
+            assert all(1 <= e <= s + 1 for e in shifted if e)
             assert shifted in next_decomp

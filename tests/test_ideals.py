@@ -13,7 +13,6 @@ from conftest import graphs_with_edges, monomial_ideals, squarefree_ideals
 from coverideal import ideals
 from coverideal.graphs import build_graph, family, kneser_graph
 from coverideal.ideals import (
-    IrreducibleIdeal,
     associated_primes,
     contains_in_power,
     cover_ideal,
@@ -32,7 +31,9 @@ from oracles import (
     brute_product_gens,
     component_contains,
     component_key,
+    is_component,
     monomial_box,
+    one_step_neighbours,
     perfect_graph_components,
     splitting_decomposition,
 )
@@ -217,23 +218,27 @@ class TestBFoldViaMembership:
 
 
 def _component_set(I):
-    return {c.exps for c in irreducible_decomposition(I)}
+    return set(irreducible_decomposition(I))
+
+
+def _support(c):
+    return frozenset(v for v, e in enumerate(c) if e)
 
 
 class TestDecomposition:
     def test_mixed_two_variable_example(self):
         I = monomial_ideal(2, [(2, 0), (1, 1), (0, 3)])
-        assert _component_set(I) == {((0, 1), (1, 3)), ((0, 2), (1, 1))}
+        assert _component_set(I) == {(1, 3), (2, 1)}
 
     def test_irreducible_is_its_own_decomposition(self):
         I = monomial_ideal(2, [(1, 0), (0, 1)])
         got = irreducible_decomposition(I)
         assert len(got) == 1
-        assert got[0] == IrreducibleIdeal(2, ((0, 1), (1, 1)))
+        assert got[0] == (1, 1)
 
     def test_principal_pure_power(self):
         got = irreducible_decomposition(monomial_ideal(1, [(2,)]))
-        assert got == (IrreducibleIdeal(1, ((0, 2),)),)
+        assert got == ((2,),)
 
     @pytest.mark.parametrize(
         "G",
@@ -241,18 +246,18 @@ class TestDecomposition:
         ids=["C5", "K3", "K4"],
     )
     def test_cover_ideal_components_are_edge_primes(self, G):
-        want = {((u, 1), (v, 1)) for u, v in G.edges()}
+        want = {tuple(int(w in (u, v)) for w in range(G.n)) for u, v in G.edges()}
         assert _component_set(cover_ideal(G)) == want
 
     def test_second_power_of_five_cycle(self):
         J2 = power(cover_ideal(family("cycle", 5)), 2)
         comps = _component_set(J2)
         assert len(comps) == 11
-        edge_types = {c for c in comps if len(c) == 2}
+        edge_types = {c for c in comps if len(_support(c)) == 2}
         assert len(edge_types) == 10
         for c in edge_types:
-            assert sorted(e for _, e in c) == [1, 2]
-        assert tuple((v, 2) for v in range(5)) in comps
+            assert sorted(filter(None, c)) == [1, 2]
+        assert (2,) * 5 in comps
 
     def test_zero_and_unit_ideals_rejected(self):
         with pytest.raises(ValueError):
@@ -275,7 +280,7 @@ class TestDecomposition:
         assert ideals._components.cache_info().hits == hits + 1
 
     def test_records_then_primes_run_one_chain(self):
-        # decompose asks for the records and then the primes of one ideal.
+        # decompose asks for the components and then the primes of one ideal.
         I = power(cover_ideal(family("cycle", 5)), 2)
         ideals._components.cache_clear()
         irreducible_decomposition(I)
@@ -288,7 +293,7 @@ class TestDecomposition:
         # Scaled by 255 or 256, exponents pass one byte: the tuple columns.
         nv, gens = ideal
         I = monomial_ideal(nv, [tuple(scale * e for e in g) for g in gens])
-        supports = [frozenset(v for v, _ in c.exps) for c in irreducible_decomposition(I)]
+        supports = [_support(c) for c in irreducible_decomposition(I)]
         assert associated_primes(I) == list(dict.fromkeys(supports))
 
     def test_components_canonically_sorted(self):
@@ -324,7 +329,7 @@ class TestDecomposition:
     def test_power_component_exponents_bounded_by_power(self, G, s):
         comps = irreducible_decomposition(power(cover_ideal(G), s))
         for c in comps:
-            assert all(1 <= e <= s for _, e in c.exps)
+            assert all(1 <= e <= s for e in c if e)
 
 
 class TestAssociatedPrimes:
@@ -357,11 +362,29 @@ class TestAssociatedPrimes:
             return
 
         def supports(comps):
-            return list(dict.fromkeys(frozenset(v for v, _ in c.exps) for c in comps))
+            return list(dict.fromkeys(map(_support, comps)))
 
         primes = associated_primes(I)
         assert primes == supports(irreducible_decomposition(I))
         assert primes == supports(splitting_decomposition(I))
+
+
+class TestCornerOracle:
+    """The corner test, one vector at a time, against the duality engine."""
+
+    @given(monomial_ideals())
+    def test_accepts_components_and_rejects_their_neighbours(self, ideal):
+        I = monomial_ideal(*ideal)
+        comps = irreducible_decomposition(I)
+        for a in comps:
+            assert is_component(I, a)
+            for b in one_step_neighbours(a):
+                assert not is_component(I, b)
+        if I.nvars <= 3:
+            # Component exponents are generator exponents: the box of
+            # vectors up to the largest ones holds every component.
+            tops = [max(col) for col in zip(*I.gens)]
+            assert {a for a in monomial_box(tops) if is_component(I, a)} == set(comps)
 
 
 class TestDecompositionEngines:
@@ -527,8 +550,9 @@ def _complete_multipartite(*parts):
 
 
 def _irreducible(nvars, **exps):
-    """Irreducible ideal in x, y, z, ... given as x=1, z=2 and so on."""
-    return IrreducibleIdeal(nvars, tuple(sorted(("xyz".index(v), e) for v, e in exps.items())))
+    """Exponent vector of the irreducible ideal in x, y, z given as x=1, z=2
+    and so on."""
+    return tuple(exps.get(v, 0) for v in "xyz"[:nvars])
 
 
 class TestBitSlicedChain:
@@ -594,10 +618,7 @@ class TestBitSlicedChain:
         monkeypatch.setattr(ideals, "_members", lambda m: sizes.append(m.bit_count()) or members(m))
         comps = irreducible_decomposition(I)
         assert max(sizes) == 4725
-        expected = {
-            IrreducibleIdeal(46, ((0, 1), *((v + 1, e) for v, e in c.exps)))
-            for c in perfect_graph_components(G, 2)
-        }
+        expected = {(1, *c) for c in perfect_graph_components(G, 2)}
         assert len(comps) == 4725
         assert set(comps) == expected
 
@@ -639,5 +660,5 @@ class TestClosedFormPerfectGraphs:
         assert len(comps) == count
         assert set(comps) == expected
         assert associated_primes(I) == sorted(
-            {frozenset(v for v, _ in c.exps) for c in expected}, key=sorted
+            set(map(_support, expected)), key=sorted
         )

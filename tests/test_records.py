@@ -12,7 +12,6 @@ C5 = family("cycle", 5)
 RECORDS = {
     "Graph": (C5, ("n", "masks")),
     "MonomialIdeal": (cover_ideal(C5), ("nvars", "gens")),
-    "IrreducibleIdeal": (irreducible_decomposition(cover_ideal(C5))[0], ("nvars", "exps")),
     "ComponentCorrespondence": (
         verify_correspondence(C5, 2)[0],
         ("component", "chi", "verified_critical"),
@@ -40,6 +39,18 @@ def test_record_is_frozen_and_hashes_by_fields(name):
 def test_record_fields(name):
     record, fields = RECORDS[name]
     assert record._fields == fields
+
+
+def test_component_is_a_plain_exponent_vector():
+    # A component is a monomial's exponent tuple, indexed by variable and
+    # 0 off its support, not a record.
+    I = cover_ideal(C5)
+    component = irreducible_decomposition(I)[0]
+    assert type(component) is type(I.gens[0]) is tuple
+    assert len(component) == I.nvars
+    assert all(type(e) is int for e in component)
+    assert component == (1, 1, 0, 0, 0)
+    assert type(verify_correspondence(C5, 2)[0].component) is tuple
 
 
 def test_graph_is_n_and_masks():

@@ -10,7 +10,6 @@ PUBLIC = [
     "ComponentCorrespondence",
     "ConjectureWitness",
     "Graph",
-    "IrreducibleIdeal",
     "Monomial",
     "MonomialIdeal",
     "all_graphs",
